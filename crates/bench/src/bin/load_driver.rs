@@ -21,6 +21,13 @@
 //! machine-readable to `target/experiments/load_driver.json`, which CI
 //! uploads next to `BENCH_PR4.json`.
 //!
+//! The cold phase must do only unique work, however many clients race on
+//! the same queries. The driver exits 1 unless, after the cold phase, the
+//! engine ran exactly the runs of the artifacts the sessions cached (each
+//! cached sample run and actual run weighted by the engine runs one
+//! execution of its workload costs: top-k's PageRank pre-pass makes two),
+//! and the store took exactly one write per `.art` file it holds.
+//!
 //! Usage:
 //!
 //! ```text
@@ -42,6 +49,8 @@
 use predict_algorithms::{ConnectedComponentsWorkload, PageRankWorkload, TopKWorkload, Workload};
 use predict_core::{PredictRequest, PredictService, PredictServiceConfig, PredictorConfig};
 use predict_graph::datasets::{Dataset, DatasetConfig, DatasetScale};
+use predict_graph::generators::{generate_rmat, RmatConfig};
+use predict_graph::CsrGraph;
 use predict_sampling::BiasedRandomJump;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -121,6 +130,12 @@ struct PhaseReport {
     store_writes: u64,
     /// Disk hits / disk reads for this phase; `None` when nothing was read.
     store_hit_rate: Option<f64>,
+    /// Cold phase only: engine runs the sessions' cached sample runs and
+    /// actual runs account for — what `bsp_runs` must equal.
+    unique_runs: Option<u64>,
+    /// Cold phase only: `.art` files published — what `store_writes` must
+    /// equal.
+    art_files: Option<u64>,
 }
 
 /// Process-global counter values the phase accounting diffs.
@@ -229,7 +244,40 @@ fn drive_phase(
         store_hits: hits,
         store_writes: after.store_writes - before.store_writes,
         store_hit_rate: (reads > 0).then(|| hits as f64 / reads as f64),
+        unique_runs: None,
+        art_files: None,
     }
+}
+
+/// Engine runs one execution of `workload` costs, measured on a tiny
+/// `graph` (top-k runs a PageRank pre-pass before its ranking phase).
+fn engine_runs_per_execution(workload: &dyn Workload, graph: &CsrGraph) -> u64 {
+    let engine = predict_bsp::BspEngine::default();
+    workload.run(&engine, graph);
+    engine.runs_executed()
+}
+
+/// The engine runs the cold phase's cached artifacts account for, given the
+/// queries the phase fired and each one's [`engine_runs_per_execution`].
+/// Every unique query of the pinned mix owns exactly one sample run
+/// (single-ratio configs, distinct seeds) and the driver never evaluates, so
+/// the sessions' cached sample runs + actual runs must equal the number of
+/// queries fired; `None` when they do not.
+fn unique_engine_runs(
+    service: &PredictService,
+    fired: &[PredictRequest],
+    weights: &[u64],
+) -> Option<u64> {
+    let sessions: std::collections::BTreeMap<&str, &PredictRequest> =
+        fired.iter().map(|r| (r.dataset.as_str(), r)).collect();
+    let cached: usize = sessions
+        .values()
+        .map(|r| {
+            let stats = service.session_for(&r.dataset, &r.graph).stats();
+            stats.sample_runs + stats.actual_runs
+        })
+        .sum();
+    (cached == fired.len()).then(|| weights[..fired.len()].iter().sum())
 }
 
 fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
@@ -279,13 +327,44 @@ fn main() {
         )
     };
 
-    let cold = drive_phase("cold", &service("cold"), &pool, &opts);
+    // Probed before the cold phase: the probe's own runs must not count.
+    let tiny = generate_rmat(&RmatConfig::new(6, 4).with_seed(1));
+    let weights: Vec<u64> = pool
+        .iter()
+        .map(|r| engine_runs_per_execution(r.workload.as_ref(), &tiny))
+        .collect();
+    let cold_service = service("cold");
+    let mut cold = drive_phase("cold", &cold_service, &pool, &opts);
+    // A kept store answers the cold phase from disk: its work is not
+    // "unique work on an empty store", so there is nothing to check.
+    if !keep_store {
+        let fired = &pool[..opts.requests.min(pool.len())];
+        cold.unique_runs = unique_engine_runs(&cold_service, fired, &weights);
+        cold.art_files = cold_service.artifact_store().map(|store| {
+            predict_core::ArtifactKind::ALL
+                .iter()
+                .map(|&kind| store.artifact_count(kind) as u64)
+                .sum()
+        });
+    }
+    drop(cold_service);
     let warm = drive_phase("warm", &service("warm"), &pool, &opts);
 
     let mut table = predict_bench::ResultTable::new(
         "Load driver: cold vs warm persistent store",
         &[
-            "phase", "mode", "reqs", "errors", "rps", "p50 us", "p99 us", "p999 us", "bsp runs",
+            "phase",
+            "mode",
+            "reqs",
+            "errors",
+            "rps",
+            "p50 us",
+            "p99 us",
+            "p999 us",
+            "bsp runs",
+            "unique runs",
+            "writes",
+            ".art files",
             "hit rate",
         ],
     );
@@ -300,6 +379,9 @@ fn main() {
             r.p99_us.to_string(),
             r.p999_us.to_string(),
             r.bsp_runs.to_string(),
+            r.unique_runs.map_or("-".to_string(), |n| n.to_string()),
+            r.store_writes.to_string(),
+            r.art_files.map_or("-".to_string(), |n| n.to_string()),
             r.store_hit_rate
                 .map_or("-".to_string(), |h| format!("{:.1}%", h * 100.0)),
         ]);
@@ -328,6 +410,24 @@ fn main() {
             "[load] FAIL: warm phase executed {} engine run(s); a restarted \
              service must answer from the store alone",
             warm.bsp_runs
+        );
+        failed = true;
+    }
+    if !keep_store && cold.unique_runs != Some(cold.bsp_runs) {
+        eprintln!(
+            "[load] FAIL: cold phase executed {} engine run(s) where its cached \
+             artifacts account for {}; concurrent clients duplicated work",
+            cold.bsp_runs,
+            cold.unique_runs
+                .map_or("a different artifact set".to_string(), |n| n.to_string())
+        );
+        failed = true;
+    }
+    if !keep_store && cold.art_files != Some(cold.store_writes) {
+        eprintln!(
+            "[load] FAIL: cold phase made {} store write(s) for {:?} published \
+             .art file(s); each artifact must be written once",
+            cold.store_writes, cold.art_files
         );
         failed = true;
     }

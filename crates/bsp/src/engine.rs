@@ -159,11 +159,17 @@ impl BspEngine {
     /// Counts one engine run that was executed outside [`BspEngine::run`] —
     /// the cluster runner drives supersteps through its own transport but
     /// still reports each drive here, so
-    /// [`runs_executed`](BspEngine::runs_executed) keeps its meaning (and the
-    /// prediction layer's cache-amortization accounting stays comparable)
-    /// across transports.
+    /// [`runs_executed`](BspEngine::runs_executed) and the registry's
+    /// `bsp.runs` counter keep their meaning (and the prediction layer's
+    /// cache-amortization accounting stays comparable) across transports.
     pub fn record_external_run(&self) {
+        self.count_run();
+    }
+
+    /// Bumps both run counters: the engine's own and the registry's.
+    fn count_run(&self) {
         self.runs.fetch_add(1, Ordering::Relaxed);
+        predict_obs::registry().counter("bsp.runs").incr();
     }
 
     /// The engine's persistent worker pool when [`BspConfig::pool`] resolves
@@ -246,8 +252,7 @@ impl BspEngine {
         storage: StorageRef<'_>,
         program: &P,
     ) -> BspRunResult<P::VertexValue> {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        predict_obs::registry().counter("bsp.runs").incr();
+        self.count_run();
         let num_workers = self.config.num_workers.max(1);
         let layout = self.layouts.get_or_build(
             storage.num_vertices(),

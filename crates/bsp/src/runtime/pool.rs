@@ -23,11 +23,23 @@
 //!   The call returns only after the latch reaches zero, which is what makes
 //!   the lifetime-erasing `transmute` below sound: borrowed closures never
 //!   outlive the call that submitted them.
-//! - **Caller participation.** The submitting thread does not park-and-wait:
-//!   it drains tasks (its own scope's or any other in-flight scope's) until
-//!   its latch opens. Nested scopes — a service request task that itself runs
-//!   pooled superstep phases — therefore cannot deadlock even on a pool with
-//!   a single live worker, because every waiter is also an executor.
+//! - **Caller participation, own scope only.** The submitting thread does
+//!   not park-and-wait: it drains *its own scope's* tasks, from any deque,
+//!   until its latch opens. Nested scopes — a service request task that
+//!   itself runs pooled superstep phases — therefore cannot deadlock even on
+//!   a pool with a single live worker: every queued task of a scope can be
+//!   run by that scope's waiter, and every running one is making progress
+//!   on some other thread. Pool workers, which hold nothing, still steal
+//!   any task.
+//!
+//!   A waiter never runs a *foreign* task, because the waiter may hold a
+//!   lock further down its stack that the foreign task needs. The prediction
+//!   session's single-flight slots are such locks: a request task fills a
+//!   slot while running `bsp.run`, whose superstep scope waits here. Had it
+//!   stolen another request task blocked on that same slot, the slot could
+//!   only be released further down the blocked thread's own stack — a
+//!   self-deadlock a pooled batch of duplicate requests hit in its first
+//!   round.
 //! - **Lazy spawning, counted.** Threads spawn on first demand up to the slot
 //!   count, never per task. Every spawn increments both a per-pool counter
 //!   ([`WorkerPool::threads_spawned`]) and a process-global one
@@ -153,26 +165,25 @@ impl PoolState {
         self.wake.notify_all();
     }
 
-    /// Pops local work first (FIFO from `me`), then steals (LIFO from the
-    /// others). `me` is `None` for scope waiters, which only steal.
-    fn try_pop(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(i) = me {
-            if let Some(task) = lock(&self.deques[i]).pop_front() {
-                return Some(task);
-            }
+    /// Pops local work first (FIFO from worker `me`), then steals (LIFO
+    /// from the others).
+    fn try_pop(&self, me: usize) -> Option<Task> {
+        if let Some(task) = lock(&self.deques[me]).pop_front() {
+            return Some(task);
         }
         let n = self.deques.len();
-        let start = me.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let j = (start + k) % n;
-            if Some(j) == me {
-                continue;
-            }
-            if let Some(task) = lock(&self.deques[j]).pop_back() {
-                return Some(task);
-            }
-        }
-        None
+        (1..n).find_map(|k| lock(&self.deques[(me + k) % n]).pop_back())
+    }
+
+    /// Removes one queued task of `scope` from whichever deque holds it.
+    fn try_pop_scoped(&self, scope: &ScopeState) -> Option<Task> {
+        self.deques.iter().find_map(|deque| {
+            let mut deque = lock(deque);
+            let i = deque
+                .iter()
+                .position(|task| std::ptr::eq(Arc::as_ptr(&task.scope), scope))?;
+            deque.remove(i)
+        })
     }
 
     fn has_work(&self) -> bool {
@@ -202,20 +213,25 @@ impl PoolState {
         }
     }
 
-    /// Executes tasks until `scope` completes. Run by the submitting thread,
-    /// which makes nested scopes deadlock-free: a waiter is also a worker.
+    /// Executes `scope`'s own tasks until `scope` completes. Run by the
+    /// submitting thread, which makes nested scopes deadlock-free: a waiter
+    /// is also a worker for its own scope. It never runs another scope's
+    /// task (see the module docs for the self-deadlock that would allow).
     fn help_until(&self, scope: &ScopeState) {
         loop {
             if scope.done() {
                 return;
             }
-            if let Some(task) = self.try_pop(None) {
+            if let Some(task) = self.try_pop_scoped(scope) {
                 self.run_task(task);
                 continue;
             }
+            // Every task of the scope was injected before this loop began,
+            // so none is queued any more: the rest are running on other
+            // threads, and the last to finish notifies under the monitor.
             let monitor = lock(&self.idle);
-            if scope.done() || self.has_work() {
-                continue;
+            if scope.done() {
+                return;
             }
             let _ = self.wake.wait_timeout(monitor, PARK_TIMEOUT);
         }
@@ -227,7 +243,7 @@ fn worker_loop(state: Arc<PoolState>, me: usize) {
         if state.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if let Some(task) = state.try_pop(Some(me)) {
+        if let Some(task) = state.try_pop(me) {
             state.run_task(task);
             continue;
         }

@@ -37,15 +37,20 @@ use predict_bsp::TransportChoice;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::process::{Child, ChildStderr, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crate::protocol::{read_frame, tag, write_frame};
 
 /// Lines of worker stderr kept for failure reports.
 const STDERR_TAIL_LINES: usize = 40;
+
+/// How long a death report waits for the dead worker's stderr to reach EOF.
+/// A process that exited closes its stderr at once, so the bound only
+/// matters for a worker that hung up its connection but kept running.
+const STDERR_EOF_WAIT: Duration = Duration::from_secs(1);
 
 /// Which backend a [`Connection`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,6 +89,8 @@ impl TransportKind {
 #[derive(Default)]
 struct StderrRing {
     lines: VecDeque<String>,
+    /// The process closed its stderr: no more lines will come.
+    eof: bool,
 }
 
 impl StderrRing {
@@ -96,6 +103,63 @@ impl StderrRing {
 
     fn tail(&self) -> String {
         self.lines.iter().cloned().collect::<Vec<_>>().join("\n")
+    }
+}
+
+/// A worker process's stderr tail, filled by a pump thread until EOF.
+#[derive(Default)]
+struct StderrLog {
+    ring: Mutex<StderrRing>,
+    /// Notified when the pump reaches EOF.
+    closed: Condvar,
+}
+
+impl StderrLog {
+    /// Starts a thread copying `stderr` into a new log until EOF.
+    fn pump(worker: usize, stderr: ChildStderr) -> Arc<Self> {
+        let log = Arc::new(Self::default());
+        let sink = Arc::clone(&log);
+        std::thread::Builder::new()
+            .name(format!("cluster-stderr-{worker}"))
+            .spawn(move || {
+                for line in BufReader::new(stderr).lines() {
+                    match line {
+                        Ok(line) => sink.lock().push(line),
+                        Err(_) => break,
+                    }
+                }
+                sink.lock().eof = true;
+                sink.closed.notify_all();
+            })
+            .expect("spawning an OS thread");
+        log
+    }
+
+    /// The log of a connection with no worker process behind it.
+    fn without_process() -> Arc<Self> {
+        let log = Self::default();
+        log.lock().eof = true;
+        Arc::new(log)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, StderrRing> {
+        self.ring.lock().unwrap()
+    }
+
+    fn tail(&self) -> String {
+        self.lock().tail()
+    }
+
+    /// The tail of a worker whose death was just noticed. The death shows
+    /// on the frame channel first, while the worker's last words may still
+    /// sit in the stderr pipe, so wait (at most [`STDERR_EOF_WAIT`]) for the
+    /// pump to drain it.
+    fn final_tail(&self) -> String {
+        let (ring, _) = self
+            .closed
+            .wait_timeout_while(self.lock(), STDERR_EOF_WAIT, |ring| !ring.eof)
+            .unwrap();
+        ring.tail()
     }
 }
 
@@ -116,7 +180,7 @@ enum ConnInner {
         /// Frames pumped off the child's stdout; the pump thread closes the
         /// channel on EOF or read error.
         rx: Receiver<Frame>,
-        stderr: Arc<Mutex<StderrRing>>,
+        stderr: Arc<StderrLog>,
     },
     Socket {
         /// The worker process, when this connection spawned one (`None` for
@@ -128,7 +192,7 @@ enum ConnInner {
         stream: SocketStream,
         /// Frames pumped off the socket; closed on EOF or read error.
         rx: Receiver<Frame>,
-        stderr: Arc<Mutex<StderrRing>>,
+        stderr: Arc<StderrLog>,
         /// Socket file unlinked on drop (`None` for TCP).
         path: Option<PathBuf>,
     },
@@ -209,19 +273,7 @@ impl Connection {
             })
             .expect("spawning an OS thread");
 
-        let stderr = Arc::new(Mutex::new(StderrRing::default()));
-        let ring = Arc::clone(&stderr);
-        std::thread::Builder::new()
-            .name(format!("cluster-stderr-{worker}"))
-            .spawn(move || {
-                for line in BufReader::new(child_stderr).lines() {
-                    match line {
-                        Ok(line) => ring.lock().unwrap().push(line),
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawning an OS thread");
+        let stderr = StderrLog::pump(worker, child_stderr);
 
         Ok(Self {
             worker,
@@ -290,19 +342,7 @@ impl Connection {
                 }
             })?;
         let child_stderr = child.stderr.take().expect("piped stderr");
-        let stderr = Arc::new(Mutex::new(StderrRing::default()));
-        let ring = Arc::clone(&stderr);
-        std::thread::Builder::new()
-            .name(format!("cluster-stderr-{worker}"))
-            .spawn(move || {
-                for line in BufReader::new(child_stderr).lines() {
-                    match line {
-                        Ok(line) => ring.lock().unwrap().push(line),
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawning an OS thread");
+        let stderr = StderrLog::pump(worker, child_stderr);
 
         // The worker was told where to connect; give it ACCEPT_TIMEOUT to
         // show up, then clean up the child we spawned for nothing.
@@ -316,7 +356,7 @@ impl Connection {
                     worker,
                     detail: format!(
                         "worker never connected to {addr}: {e}; stderr tail:\n{}",
-                        stderr.lock().unwrap().tail()
+                        stderr.tail()
                     ),
                 });
             }
@@ -328,20 +368,14 @@ impl Connection {
     /// child process behind it — lifecycle tests use this to play the
     /// driver against hand-rolled fake workers.
     pub fn from_socket_stream(worker: usize, stream: SocketStream) -> Result<Self, ClusterError> {
-        Self::from_stream(
-            worker,
-            stream,
-            None,
-            Arc::new(Mutex::new(StderrRing::default())),
-            None,
-        )
+        Self::from_stream(worker, stream, None, StderrLog::without_process(), None)
     }
 
     fn from_stream(
         worker: usize,
         stream: SocketStream,
         child: Option<Child>,
-        stderr: Arc<Mutex<StderrRing>>,
+        stderr: Arc<StderrLog>,
         path: Option<PathBuf>,
     ) -> Result<Self, ClusterError> {
         let reader = stream.try_clone().map_err(|e| ClusterError::Spawn {
@@ -386,11 +420,24 @@ impl Connection {
     /// Last lines of the worker's stderr (always empty for in-process
     /// workers, which share the driver's stderr).
     pub fn stderr_tail(&self) -> String {
+        self.stderr_log().map_or_else(String::new, StderrLog::tail)
+    }
+
+    fn stderr_log(&self) -> Option<&StderrLog> {
         match &self.inner {
-            ConnInner::InProc { .. } => String::new(),
-            ConnInner::Process { stderr, .. } | ConnInner::Socket { stderr, .. } => {
-                stderr.lock().unwrap().tail()
-            }
+            ConnInner::InProc { .. } => None,
+            ConnInner::Process { stderr, .. } | ConnInner::Socket { stderr, .. } => Some(stderr),
+        }
+    }
+
+    /// The report of this worker's death, quoting its final stderr lines.
+    fn died(&self) -> ClusterError {
+        ClusterError::WorkerDied {
+            worker: self.worker,
+            superstep: None,
+            stderr_tail: self
+                .stderr_log()
+                .map_or_else(String::new, StderrLog::final_tail),
         }
     }
 
@@ -416,11 +463,7 @@ impl Connection {
         if sent {
             Ok(())
         } else {
-            Err(ClusterError::WorkerDied {
-                worker: self.worker,
-                superstep: None,
-                stderr_tail: self.stderr_tail(),
-            })
+            Err(self.died())
         }
     }
 
@@ -438,11 +481,7 @@ impl Connection {
         };
         match received {
             Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::WorkerDied {
-                worker: self.worker,
-                superstep: None,
-                stderr_tail: self.stderr_tail(),
-            }),
+            Err(RecvTimeoutError::Disconnected) => Err(self.died()),
             Err(RecvTimeoutError::Timeout) => {
                 // A process that died instants ago may still race the pump
                 // thread; report a death as a death, not a timeout.
@@ -453,11 +492,7 @@ impl Connection {
                 };
                 if let Some(child) = child {
                     if matches!(child.try_wait(), Ok(Some(_))) {
-                        return Err(ClusterError::WorkerDied {
-                            worker: self.worker,
-                            superstep: None,
-                            stderr_tail: self.stderr_tail(),
-                        });
+                        return Err(self.died());
                     }
                 }
                 Err(ClusterError::Timeout {

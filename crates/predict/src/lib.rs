@@ -36,7 +36,8 @@
 //! * [`session`] — [`PredictionSession`] binds one dataset to an engine and a
 //!   sampler and caches artifacts across predictions, so predicting many
 //!   workloads or sweep points on one dataset performs each `(ratio, seed)`
-//!   sample run exactly once. Sessions are built fluently via
+//!   sample run exactly once per process, whatever the client count.
+//!   Sessions are built fluently via
 //!   [`Predictor::builder`];
 //! * [`service`] — [`PredictService`], a `Sync` front-end holding sessions in
 //!   a sharded LRU cache and answering [`PredictRequest`]s, one at a time or

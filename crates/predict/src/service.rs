@@ -464,9 +464,10 @@ impl PredictService {
             (0..requests.len()).map(|_| None).collect();
         if let Some(pool) = self.engine.worker_pool() {
             // One pool task per request: the pool's work-stealing deques
-            // balance uneven request costs, and `run_scoped`'s caller
-            // participation keeps this deadlock-free even when a request's
-            // own superstep phases fan out onto the same pool.
+            // balance uneven request costs, and `run_scoped`'s own-scope
+            // caller participation keeps this deadlock-free even when a
+            // request's superstep phases fan out onto the same pool while
+            // it holds a session's single-flight slot.
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
                 .iter_mut()
                 .zip(requests)

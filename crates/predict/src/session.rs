@@ -11,15 +11,20 @@
 //!   shared by *every* workload predicted through the session;
 //! * sample-run [`SampleRunArtifact`]s keyed by `(sample, workload,
 //!   transform)` — each `(ratio, seed)` sample run of a workload executes
-//!   exactly once, no matter how many predictions reuse it;
+//!   exactly once, no matter how many predictions or concurrent clients
+//!   reuse it;
 //! * [`TrainedModel`]s keyed by `(workload, config fingerprint, history
 //!   version)`;
 //! * actual-run profiles keyed by workload, for [`PredictionSession::evaluate`].
 //!
 //! Sessions are `Sync`: all caches sit behind locks, the engine and sampler
 //! are shared via [`Arc`], and every stage is deterministic, so concurrent
-//! predictions return byte-identical results to sequential ones. Sessions
-//! are built fluently via [`crate::Predictor::builder`]:
+//! predictions return byte-identical results to sequential ones. The caches
+//! are *single-flight*: concurrent lookups of one missing artifact wait for
+//! a single computation instead of each computing (and writing through) a
+//! copy, so a session does the same engine runs and store writes whatever
+//! its client count. Sessions are built fluently via
+//! [`crate::Predictor::builder`]:
 //!
 //! ```
 //! use predict_core::{Predictor, PredictorConfig};
@@ -60,7 +65,8 @@ use predict_sampling::{BiasedRandomJump, Sampler, ScratchPool};
 use predict_store::{ArtifactKind, ArtifactStore};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Configuration of the prediction pipeline.
@@ -266,14 +272,80 @@ impl Evaluation {
 // two paths cannot diverge: a session with a cold cache performs exactly the
 // same engine and sampler invocations, in the same order, as the facade.
 
+/// One key's in-flight slot: locked by whoever fills it, `Some` once filled.
+type Slot<V> = Arc<Mutex<Option<Arc<V>>>>;
+
+/// A single-flight artifact map: each key is computed at most once, however
+/// many threads look it up together.
+///
+/// The first lookup of a key locks the key's slot and fills it while
+/// holding it; concurrent lookups of that key block on the slot and then
+/// read the filled value as a cache hit. A fill that returns `Err` (an empty
+/// sample) leaves the slot empty, so the next lookup computes again. A fill
+/// that panics poisons the slot with `None` still inside; [`cache_lock`]'s
+/// poison recovery then lets the next waiter compute, while the service's
+/// per-request `catch_unwind` reports the panic.
+///
+/// Deadlock freedom. A thread holds at most one slot per map, and slots are
+/// only ever taken in one order: a model fill (stage 3) takes sample and
+/// sample-run slots for its training ratios; sample, sample-run and
+/// actual-run fills take no other slot. No fill waits on a slot of its own
+/// kind, so the wait-for graph has no cycle. The engine's worker pool keeps
+/// it that way: a thread waiting on its superstep scope while holding a
+/// slot runs only its own scope's tasks, never another request that might
+/// wait on that slot (see `predict_bsp::WorkerPool`).
+pub(crate) struct SingleFlight<K, V> {
+    slots: Mutex<HashMap<K, Slot<V>>>,
+    /// Filled slots; reading it never waits on an in-flight fill.
+    filled: AtomicUsize,
+}
+
+impl<K, V> Default for SingleFlight<K, V> {
+    fn default() -> Self {
+        Self {
+            slots: Mutex::new(HashMap::new()),
+            filled: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> SingleFlight<K, V> {
+    /// Returns `key`'s value, running `fill` only if no earlier lookup
+    /// produced one. `record(hit)` is told which case occurred.
+    fn get_or_fill<E>(
+        &self,
+        key: K,
+        record: impl FnOnce(bool),
+        fill: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        // The map lock is held only to find the slot, never across a fill.
+        let slot = Arc::clone(cache_lock(&self.slots).entry(key).or_default());
+        let mut value = cache_lock(&slot);
+        if let Some(hit) = value.as_ref() {
+            record(true);
+            return Ok(Arc::clone(hit));
+        }
+        record(false);
+        let filled = Arc::new(fill()?);
+        *value = Some(Arc::clone(&filled));
+        self.filled.fetch_add(1, Ordering::Relaxed);
+        Ok(filled)
+    }
+
+    /// Number of keys holding a value.
+    fn len(&self) -> usize {
+        self.filled.load(Ordering::Relaxed)
+    }
+}
+
 /// Cached stage artifacts of one session. All maps are keyed by exact stage
 /// inputs; values are `Arc`s so cache hits are O(1) clones.
 #[derive(Default)]
 pub(crate) struct ArtifactCaches {
-    samples: Mutex<HashMap<SampleKey, Arc<SampleArtifact>>>,
-    runs: Mutex<HashMap<RunKey, Arc<SampleRunArtifact>>>,
-    models: Mutex<HashMap<ModelKey, Arc<TrainedModel>>>,
-    actuals: Mutex<HashMap<String, Arc<WorkloadRun>>>,
+    samples: SingleFlight<SampleKey, SampleArtifact>,
+    runs: SingleFlight<RunKey, SampleRunArtifact>,
+    models: SingleFlight<ModelKey, TrainedModel>,
+    actuals: SingleFlight<String, WorkloadRun>,
     /// Reusable sampler working memory (visited bitset + walk buffers),
     /// pooled so concurrent draws each check out their own scratch instead
     /// of either serializing on one lock or silently falling back to a
@@ -391,11 +463,12 @@ fn dataset_provenance(dataset: &str, graph: &CsrGraph) -> u64 {
 }
 
 /// Acquires a cache mutex, recovering the guard if a previous holder
-/// panicked. Cache maps stay internally consistent under panic (inserts are
-/// single `entry().or_insert` calls; a torn value is never published), and a
-/// worker panic is already reported per-request by the service — letting
-/// the poison flag wedge every later prediction would turn one failed
-/// request into a permanently dead session.
+/// panicked. Caches stay consistent under panic: a slot map only ever gains
+/// empty slots, and a slot is filled by one assignment after its value is
+/// complete, so a panicking fill leaves its slot empty, never torn. A worker
+/// panic is already reported per-request by the service — letting the
+/// poison flag wedge every later prediction would turn one failed request
+/// into a permanently dead session.
 fn cache_lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -413,6 +486,37 @@ pub(crate) struct StageCtx<'a> {
     pub store: Option<&'a StoreBinding>,
 }
 
+/// The lookup → record → load → compute → save → publish sequence every
+/// stage shares. With a cache, `key` is looked up in the cache `cache`
+/// selects and filled single-flight; the fill reads the artifact from the
+/// store when one is bound, or computes it and writes it through. Without a
+/// cache (the legacy one-shot path) the artifact is produced directly.
+fn cached_stage<K: Eq + Hash, V: Serialize + serde::Deserialize, E>(
+    ctx: &StageCtx<'_>,
+    cache: impl FnOnce(&ArtifactCaches) -> &SingleFlight<K, V>,
+    key: K,
+    kind: ArtifactKind,
+    store_key: &str,
+    compute: impl FnOnce() -> Result<V, E>,
+) -> Result<Arc<V>, E> {
+    let produce = || {
+        // A store-backed session may still have the artifact on disk from a
+        // previous process.
+        if let Some(stored) = ctx.store.and_then(|store| store.load(kind, store_key)) {
+            return Ok(stored);
+        }
+        let artifact = compute()?;
+        if let Some(store) = ctx.store {
+            store.save(kind, store_key, &artifact);
+        }
+        Ok(artifact)
+    };
+    match ctx.caches {
+        Some(caches) => cache(caches).get_or_fill(key, |hit| caches.record(hit), produce),
+        None => produce().map(Arc::new),
+    }
+}
+
 /// Stage 1: draw (or reuse) the sample for `(ratio, seed)`.
 fn stage_sample(
     ctx: &StageCtx<'_>,
@@ -422,51 +526,24 @@ fn stage_sample(
     let _span = predict_obs::trace::span("predict.stage.sample").arg("ratio", ratio);
     let _timer = predict_obs::metrics::time_scope("predict.stage.sample_ns");
     let key = SampleKey::new(ctx.sampler.name(), ratio, seed);
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.samples).get(&key) {
-            caches.record(true);
-            return Ok(Arc::clone(hit));
-        }
-        caches.record(false);
-        // Memory miss: a store-backed session may still have the artifact
-        // on disk from a previous process.
-        if let Some(store) = ctx.store {
-            if let Some(artifact) =
-                store.load::<SampleArtifact>(ArtifactKind::Sample, &key.store_key())
-            {
-                let artifact = Arc::new(artifact);
-                return Ok(Arc::clone(
-                    cache_lock(&caches.samples).entry(key).or_insert(artifact),
-                ));
+    let store_key = key.store_key();
+    cached_stage(
+        ctx,
+        |caches| &caches.samples,
+        key,
+        ArtifactKind::Sample,
+        &store_key,
+        || match ctx.caches {
+            Some(caches) => {
+                // Each concurrent draw checks out its own pooled scratch;
+                // once the pool is warm (peak concurrency reached) no draw
+                // allocates.
+                let mut scratch = caches.scratch.acquire();
+                SampleArtifact::draw_with(ctx.sampler, ctx.graph, ratio, seed, &mut scratch)
             }
-        }
-    }
-    let artifact = match ctx.caches {
-        Some(caches) => {
-            // Each concurrent draw checks out its own pooled scratch; once
-            // the pool is warm (peak concurrency reached) no draw allocates.
-            let mut scratch = caches.scratch.acquire();
-            Arc::new(SampleArtifact::draw_with(
-                ctx.sampler,
-                ctx.graph,
-                ratio,
-                seed,
-                &mut scratch,
-            )?)
-        }
-        None => Arc::new(SampleArtifact::draw(ctx.sampler, ctx.graph, ratio, seed)?),
-    };
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::Sample, &key.store_key(), artifact.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        // Concurrent misses may race here; both computed the same
-        // deterministic artifact, so keeping the first insert is fine.
-        return Ok(Arc::clone(
-            cache_lock(&caches.samples).entry(key).or_insert(artifact),
-        ));
-    }
-    Ok(artifact)
+            None => SampleArtifact::draw(ctx.sampler, ctx.graph, ratio, seed),
+        },
+    )
 }
 
 /// Stage 2: execute (or reuse) the transformed sample run of `workload` on
@@ -481,31 +558,20 @@ fn stage_run(
         predict_obs::trace::span("predict.stage.sample_run").arg("workload", workload.name());
     let _timer = predict_obs::metrics::time_scope("predict.stage.sample_run_ns");
     let key = RunKey::new(&sample.key, workload, transform);
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.runs).get(&key) {
-            caches.record(true);
-            return Arc::clone(hit);
-        }
-        caches.record(false);
-        if let Some(store) = ctx.store {
-            if let Some(artifact) =
-                store.load::<SampleRunArtifact>(ArtifactKind::SampleRun, &key.store_key())
-            {
-                let artifact = Arc::new(artifact);
-                return Arc::clone(cache_lock(&caches.runs).entry(key).or_insert(artifact));
-            }
-        }
-    }
-    let artifact = Arc::new(SampleRunArtifact::execute(
-        ctx.engine, workload, transform, sample,
-    ));
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::SampleRun, &key.store_key(), artifact.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        return Arc::clone(cache_lock(&caches.runs).entry(key).or_insert(artifact));
-    }
-    artifact
+    let store_key = key.store_key();
+    let Ok(run) = cached_stage(
+        ctx,
+        |caches| &caches.runs,
+        key,
+        ArtifactKind::SampleRun,
+        &store_key,
+        || {
+            Ok::<_, std::convert::Infallible>(SampleRunArtifact::execute(
+                ctx.engine, workload, transform, sample,
+            ))
+        },
+    );
+    run
 }
 
 /// Stage 3: assemble the training set and train (or reuse) the cost model.
@@ -538,25 +604,40 @@ fn stage_model(
     // to say because an in-memory cache lives inside one single-sampler
     // session, while the store is shared by every session of a process.
     let store_key = format!("{}|{}", ctx.sampler.name(), key.store_key());
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.models).get(&key) {
-            caches.record(true);
-            return Ok(Arc::clone(hit));
-        }
-        caches.record(false);
-        // A store-hit model skips the whole training-set assembly below —
-        // including the training-ratio sample runs — which is what lets a
-        // warm restart answer with zero engine executions.
-        if let Some(store) = ctx.store {
-            if let Some(model) = store.load::<TrainedModel>(ArtifactKind::Model, &store_key) {
-                let model = Arc::new(model);
-                return Ok(Arc::clone(
-                    cache_lock(&caches.models).entry(key).or_insert(model),
-                ));
-            }
-        }
-    }
+    // A store-hit model skips the whole training-set assembly — including
+    // the training-ratio sample runs — which is what lets a warm restart
+    // answer with zero engine executions.
+    cached_stage(
+        ctx,
+        |caches| &caches.models,
+        key,
+        ArtifactKind::Model,
+        &store_key,
+        || {
+            train_model(
+                ctx,
+                workload,
+                config,
+                transform,
+                sample_observations,
+                history,
+                history_version,
+            )
+        },
+    )
+}
 
+/// Assembles stage 3's training set (running the training-ratio sample runs
+/// it needs) and fits the cost model.
+fn train_model(
+    ctx: &StageCtx<'_>,
+    workload: &dyn Workload,
+    config: &PredictorConfig,
+    transform: TransformFunction,
+    sample_observations: &[IterationObservation],
+    history: &HistoryStore,
+    history_version: u64,
+) -> Result<TrainedModel, PredictError> {
     let mut training: Vec<IterationObservation> = Vec::new();
     for (i, &train_ratio) in config.training_ratios.iter().enumerate() {
         if (train_ratio - config.sampling_ratio).abs() < 1e-12 {
@@ -598,7 +679,7 @@ fn stage_model(
 
     let cost_model =
         CostModel::train(&training, &config.cost_model).map_err(PredictError::CostModel)?;
-    let model = Arc::new(TrainedModel {
+    Ok(TrainedModel {
         cost_model,
         provenance: TrainingProvenance {
             source,
@@ -611,16 +692,7 @@ fn stage_model(
             history_version,
             training_ratios: config.training_ratios.clone(),
         },
-    });
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::Model, &store_key, model.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        return Ok(Arc::clone(
-            cache_lock(&caches.models).entry(key).or_insert(model),
-        ));
-    }
-    Ok(model)
+    })
 }
 
 /// Executes (or reuses) the actual run of `workload` on the full graph.
@@ -628,41 +700,32 @@ fn stage_actual(ctx: &StageCtx<'_>, workload: &dyn Workload) -> Arc<WorkloadRun>
     let _span = predict_obs::trace::span("predict.stage.actual").arg("workload", workload.name());
     let _timer = predict_obs::metrics::time_scope("predict.stage.actual_ns");
     let key = workload.cache_token();
-    if let Some(caches) = ctx.caches {
-        if let Some(hit) = cache_lock(&caches.actuals).get(&key) {
-            caches.record(true);
-            return Arc::clone(hit);
-        }
-        caches.record(false);
-        // Actual runs are the most expensive artifact of all; persisting
-        // them is what makes a warm evaluation pass execute zero runs.
-        if let Some(store) = ctx.store {
-            if let Some(run) = store.load::<WorkloadRun>(ArtifactKind::ActualRun, &key) {
-                let run = Arc::new(run);
-                return Arc::clone(cache_lock(&caches.actuals).entry(key).or_insert(run));
-            }
-        }
-    }
-    // Sharded engines run against the session's cached full-graph storage,
-    // so back-to-back actual runs skip the per-run shard construction. The
-    // dispatch in [`crate::exec`] routes to the in-memory runtime or a
-    // cluster transport per the engine's transport mode; results are
-    // byte-identical either way.
-    let storage = ctx
-        .caches
-        .and_then(|caches| caches.storage.get_or_shard(ctx.engine, ctx.graph));
-    let run = Arc::new(crate::exec::execute_workload(
-        ctx.engine,
-        workload,
-        ctx.graph,
-        storage.as_deref(),
-    ));
-    if let Some(store) = ctx.store {
-        store.save(ArtifactKind::ActualRun, &key, run.as_ref());
-    }
-    if let Some(caches) = ctx.caches {
-        return Arc::clone(cache_lock(&caches.actuals).entry(key).or_insert(run));
-    }
+    let store_key = key.clone();
+    // Actual runs are the most expensive artifact of all; persisting them is
+    // what makes a warm evaluation pass execute zero runs.
+    let Ok(run) = cached_stage(
+        ctx,
+        |caches| &caches.actuals,
+        key,
+        ArtifactKind::ActualRun,
+        &store_key,
+        || {
+            // Sharded engines run against the session's cached full-graph
+            // storage, so back-to-back actual runs skip the per-run shard
+            // construction. The dispatch in [`crate::exec`] routes to the
+            // in-memory runtime or a cluster transport per the engine's
+            // transport mode; results are byte-identical either way.
+            let storage = ctx
+                .caches
+                .and_then(|caches| caches.storage.get_or_shard(ctx.engine, ctx.graph));
+            Ok::<_, std::convert::Infallible>(crate::exec::execute_workload(
+                ctx.engine,
+                workload,
+                ctx.graph,
+                storage.as_deref(),
+            ))
+        },
+    );
     run
 }
 
@@ -941,7 +1004,9 @@ pub struct SessionStats {
     pub models: usize,
     /// Cached actual-run profiles.
     pub actual_runs: usize,
-    /// Total cache hits across all stages.
+    /// Total cache hits across all stages. A lookup that waited for a
+    /// concurrent lookup of the same key to fill it counts as a hit, so
+    /// hits and misses do not depend on the client count.
     pub hits: u64,
     /// Total cache misses across all stages.
     pub misses: u64,
@@ -1138,10 +1203,10 @@ impl PredictionSession {
     /// Cache occupancy and hit statistics.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
-            samples: cache_lock(&self.caches.samples).len(),
-            sample_runs: cache_lock(&self.caches.runs).len(),
-            models: cache_lock(&self.caches.models).len(),
-            actual_runs: cache_lock(&self.caches.actuals).len(),
+            samples: self.caches.samples.len(),
+            sample_runs: self.caches.runs.len(),
+            models: self.caches.models.len(),
+            actual_runs: self.caches.actuals.len(),
             hits: self.caches.hits.load(Ordering::Relaxed),
             misses: self.caches.misses.load(Ordering::Relaxed),
             scratch_allocations: self.caches.scratch.allocations(),
