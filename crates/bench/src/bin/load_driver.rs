@@ -12,7 +12,10 @@
 //! 2. **warm phase**: a brand-new service (empty in-memory caches, fresh
 //!    engine) against the *same* directory — a simulated process restart —
 //!    so every unique query is answered from disk without a single engine
-//!    execution.
+//!    execution. The restart is repeated [`WARM_RESTARTS`] times, each on a
+//!    fresh service, and the phase's percentiles pool every repeat's
+//!    latencies: one warm pass is short enough that its p99 would rest on
+//!    a handful of scheduler ticks.
 //!
 //! Each phase reports request count, wall-clock throughput, p50/p99/p999
 //! latency, and the store's read/hit/write counters for the phase (hit-rate
@@ -62,6 +65,10 @@ use std::time::{Duration, Instant};
 /// distinct artifact chain in the store, so the pinned scenario exercises
 /// `datasets × workloads × SEEDS_PER_PAIR` unique store entries.
 const SEEDS_PER_PAIR: u64 = 4;
+
+/// Simulated restarts in the warm phase, each a fresh service on the same
+/// store; the warm percentiles are taken over all of their latencies.
+const WARM_RESTARTS: usize = 5;
 
 /// The pinned query mix: every request the driver can fire, in a fixed
 /// order. Clients walk this list round-robin, so any request count covers
@@ -165,21 +172,29 @@ struct DriverOptions {
     rate_per_sec: f64,
 }
 
-/// Fires `opts.requests` queries at `service` and collects per-request
-/// latencies. Closed loop: `opts.clients` threads race down a shared
+/// What firing one request stream at one service produced.
+#[derive(Default)]
+struct Fired {
+    latencies: Vec<u64>,
+    errors: usize,
+    wall_ms: f64,
+}
+
+/// Fires `opts.requests` queries at `service` and appends their latencies
+/// to `fired`. Closed loop: `opts.clients` threads race down a shared
 /// request counter. Open loop: request *i* is released at `i / rate`
-/// seconds after phase start and its latency includes any queueing delay.
-fn drive_phase(
-    name: &str,
+/// seconds after the stream starts and its latency includes any queueing
+/// delay.
+fn fire(
     service: &PredictService,
     pool: &[PredictRequest],
     opts: &DriverOptions,
-) -> PhaseReport {
-    let before = counters_now();
+    fired: &mut Fired,
+) {
     let next = AtomicUsize::new(0);
     let errors = AtomicUsize::new(0);
     let start = Instant::now();
-    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
+    let latencies: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.clients)
             .map(|_| {
                 scope.spawn(|| {
@@ -218,8 +233,23 @@ fn drive_phase(
             .flat_map(|h| h.join().expect("client thread panicked"))
             .collect()
     });
-    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
+    fired.wall_ms += start.elapsed().as_secs_f64() * 1000.0;
+    fired.latencies.extend(latencies);
+    fired.errors += errors.load(Ordering::Relaxed);
+}
+
+/// Runs one phase — `run` [`fire`]s request streams into the phase's
+/// [`Fired`] — and reports over every latency it collected.
+fn drive_phase(name: &str, opts: &DriverOptions, run: impl FnOnce(&mut Fired)) -> PhaseReport {
+    let before = counters_now();
+    let mut fired = Fired::default();
+    run(&mut fired);
     let after = counters_now();
+    let Fired {
+        mut latencies,
+        errors,
+        wall_ms,
+    } = fired;
     latencies.sort_unstable();
     let reads = after.store_reads - before.store_reads;
     let hits = after.store_hits - before.store_hits;
@@ -231,7 +261,7 @@ fn drive_phase(
             "closed".to_string()
         },
         requests: latencies.len(),
-        errors: errors.load(Ordering::Relaxed),
+        errors,
         clients: opts.clients,
         wall_ms,
         throughput_rps: latencies.len() as f64 / (wall_ms / 1000.0).max(1e-9),
@@ -334,7 +364,9 @@ fn main() {
         .map(|r| engine_runs_per_execution(r.workload.as_ref(), &tiny))
         .collect();
     let cold_service = service("cold");
-    let mut cold = drive_phase("cold", &cold_service, &pool, &opts);
+    let mut cold = drive_phase("cold", &opts, |fired| {
+        fire(&cold_service, &pool, &opts, fired)
+    });
     // A kept store answers the cold phase from disk: its work is not
     // "unique work on an empty store", so there is nothing to check.
     if !keep_store {
@@ -348,7 +380,11 @@ fn main() {
         });
     }
     drop(cold_service);
-    let warm = drive_phase("warm", &service("warm"), &pool, &opts);
+    let warm = drive_phase("warm", &opts, |fired| {
+        for _ in 0..WARM_RESTARTS {
+            fire(&service("warm"), &pool, &opts, fired);
+        }
+    });
 
     let mut table = predict_bench::ResultTable::new(
         "Load driver: cold vs warm persistent store",

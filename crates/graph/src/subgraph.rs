@@ -10,11 +10,16 @@
 
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Mapping between the dense vertex ids of an induced subgraph and the vertex
 /// ids of the graph it was extracted from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Serialized as `to_original` plus the original graph's vertex count:
+/// `to_sample` is as long as the *full* graph and follows from the rest,
+/// so deserialization rebuilds it (rejecting out-of-range or duplicate
+/// original ids) instead of persisting it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubgraphMapping {
     /// `to_original[new_id] = original_id`.
     to_original: Vec<VertexId>,
@@ -23,6 +28,34 @@ pub struct SubgraphMapping {
 }
 
 impl SubgraphMapping {
+    /// Rebuilds a mapping from its subgraph → original ids over a graph of
+    /// `original_vertices` vertices; `Err` if an id is out of range or
+    /// selected twice.
+    fn from_original_ids(
+        to_original: Vec<VertexId>,
+        original_vertices: usize,
+    ) -> Result<Self, String> {
+        if original_vertices > VertexId::MAX as usize + 1 {
+            return Err(format!(
+                "original vertex count {original_vertices} exceeds the vertex id range"
+            ));
+        }
+        let mut to_sample: Vec<Option<VertexId>> = vec![None; original_vertices];
+        for (new_id, &v) in to_original.iter().enumerate() {
+            let slot = to_sample
+                .get_mut(v as usize)
+                .ok_or_else(|| format!("original id {v} out of range 0..{original_vertices}"))?;
+            if slot.is_some() {
+                return Err(format!("original id {v} mapped twice"));
+            }
+            *slot = Some(new_id as VertexId);
+        }
+        Ok(SubgraphMapping {
+            to_original,
+            to_sample,
+        })
+    }
+
     /// Original vertex id for a subgraph vertex id.
     ///
     /// # Panics
@@ -49,6 +82,34 @@ impl SubgraphMapping {
             .iter()
             .enumerate()
             .map(|(s, &o)| (s as VertexId, o))
+    }
+}
+
+impl Serialize for SubgraphMapping {
+    fn serialize_value(&self) -> Value {
+        Value::Map(vec![
+            (
+                "to_original".to_string(),
+                self.to_original.serialize_value(),
+            ),
+            (
+                "original_vertices".to_string(),
+                self.to_sample.len().serialize_value(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for SubgraphMapping {
+    fn deserialize_value(value: &Value) -> Result<Self, serde::Error> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::Error::msg("SubgraphMapping: expected a map"))?;
+        let to_original = Vec::deserialize_value(serde::get_field(entries, "to_original")?)?;
+        let original_vertices =
+            usize::deserialize_value(serde::get_field(entries, "original_vertices")?)?;
+        Self::from_original_ids(to_original, original_vertices)
+            .map_err(|e| serde::Error::msg(format!("SubgraphMapping: {e}")))
     }
 }
 
@@ -157,6 +218,33 @@ mod tests {
         assert_eq!(map.sample_id(0), None);
         let pairs: Vec<_> = map.iter().collect();
         assert_eq!(pairs, vec![(0, 3), (1, 1)]);
+    }
+
+    #[test]
+    fn mapping_serde_roundtrip_rebuilds_to_sample() {
+        let g = square();
+        let (_, map) = induced_subgraph(&g, &[3, 1]);
+        let value = map.serialize_value();
+        let entries = value.as_map().unwrap();
+        assert!(serde::get_field_opt(entries, "to_sample").is_none());
+        assert_eq!(SubgraphMapping::deserialize_value(&value).unwrap(), map);
+    }
+
+    #[test]
+    fn mapping_deserialize_rejects_bad_ids() {
+        let mapping = |ids: Vec<u32>, n: usize| {
+            SubgraphMapping::deserialize_value(&Value::Map(vec![
+                ("to_original".to_string(), Value::U32s(ids)),
+                ("original_vertices".to_string(), Value::UInt(n as u64)),
+            ]))
+        };
+        assert!(mapping(vec![0, 3], 4).is_ok());
+        assert!(mapping(vec![0, 4], 4).is_err(), "out-of-range id accepted");
+        assert!(mapping(vec![1, 1], 4).is_err(), "duplicate id accepted");
+        assert!(
+            mapping(vec![], usize::MAX).is_err(),
+            "huge vertex count accepted"
+        );
     }
 
     #[test]

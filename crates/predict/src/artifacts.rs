@@ -412,7 +412,7 @@ impl ModelKey {
 
 /// Stable FNV-1a hash used for configuration fingerprints — deterministic
 /// across processes, unlike `DefaultHasher`'s unspecified algorithm.
-pub(crate) struct Fnv1a(u64);
+struct Fnv1a(u64);
 
 impl Fnv1a {
     pub(crate) fn new() -> Self {

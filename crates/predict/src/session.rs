@@ -62,7 +62,7 @@ use predict_bsp::{BspEngine, ExecutionMode, RunProfile, StorageMode, TransportMo
 use predict_graph::CsrGraph;
 use predict_obs::diag;
 use predict_sampling::{BiasedRandomJump, Sampler, ScratchPool};
-use predict_store::{ArtifactKind, ArtifactStore};
+use predict_store::{ArtifactKind, ArtifactStore, Checksum};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -448,18 +448,19 @@ impl StoreBinding {
 /// graph. A relabeled or regenerated dataset therefore invalidates every
 /// stored artifact (stale miss → recompute) instead of silently serving
 /// artifacts of the wrong graph. O(V + E), computed once per store-bound
-/// session.
+/// session with the store's word-at-a-time [`Checksum`]:
+/// each adjacency list goes in two vertex ids per word, followed by its
+/// length.
 fn dataset_provenance(dataset: &str, graph: &CsrGraph) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = crate::artifacts::Fnv1a::new();
-    dataset.hash(&mut hasher);
-    graph.num_vertices().hash(&mut hasher);
-    graph.num_edges().hash(&mut hasher);
-    graph.is_weighted().hash(&mut hasher);
+    let mut sum = Checksum::new();
+    sum.write_bytes(dataset.as_bytes());
+    sum.write_word(graph.num_vertices() as u64);
+    sum.write_word(graph.num_edges() as u64);
+    sum.write_word(graph.is_weighted() as u64);
     for v in graph.vertices() {
-        graph.out_neighbors(v).hash(&mut hasher);
+        sum.write_u32s(graph.out_neighbors(v));
     }
-    hasher.finish()
+    sum.finish()
 }
 
 /// Acquires a cache mutex, recovering the guard if a previous holder

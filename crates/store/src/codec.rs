@@ -19,7 +19,17 @@
 //!        | 0x05 u32 byte{len}            ; Str (UTF-8)
 //!        | 0x06 u32 value{count}         ; Seq
 //!        | 0x07 u32 (str value){count}   ; Map (str = u32 len + UTF-8 key)
+//!        | 0x08 u32 u32{count}           ; U32s column
+//!        | 0x09 u32 u64{count}           ; U64s column
+//!        | 0x0A u32 u32{count}           ; F32s column (f32 bit patterns)
+//!        | 0x0B u32 u64{count}           ; F64s column (f64 bit patterns)
 //! ```
+//!
+//! A column (the vendored serde's packed numeric sequence: a `Vec<u32>` of
+//! CSR targets, a `Vec<f64>` of per-superstep timings) is one slab of
+//! fixed-width words behind a single tag and count, so encoding is a copy
+//! and decoding one bounds check plus a slice conversion — no per-element
+//! tag, no per-element heap node.
 //!
 //! Encoding is deterministic: the vendored serde's `Value` model already
 //! fixes map ordering (struct declaration order, sorted hash maps), so
@@ -40,6 +50,10 @@ const TAG_FLOAT: u8 = 0x04;
 const TAG_STR: u8 = 0x05;
 const TAG_SEQ: u8 = 0x06;
 const TAG_MAP: u8 = 0x07;
+const TAG_U32S: u8 = 0x08;
+const TAG_U64S: u8 = 0x09;
+const TAG_F32S: u8 = 0x0A;
+const TAG_F64S: u8 = 0x0B;
 
 /// Collections larger than this are treated as corruption rather than
 /// allocated: the largest real artifact (a CSR edge array) stays far below
@@ -112,6 +126,25 @@ fn encode_into(value: &Value, out: &mut Vec<u8>) {
                 encode_into(item, out);
             }
         }
+        Value::U32s(items) => encode_column(TAG_U32S, items, out, |x| x.to_le_bytes()),
+        Value::U64s(items) => encode_column(TAG_U64S, items, out, |x| x.to_le_bytes()),
+        Value::F32s(items) => encode_column(TAG_F32S, items, out, |x| x.to_bits().to_le_bytes()),
+        Value::F64s(items) => encode_column(TAG_F64S, items, out, |x| x.to_bits().to_le_bytes()),
+    }
+}
+
+/// Writes a column: tag, u32 count, then the little-endian slab.
+fn encode_column<T: Copy, const W: usize>(
+    tag: u8,
+    items: &[T],
+    out: &mut Vec<u8>,
+    word: impl Fn(T) -> [u8; W],
+) {
+    out.push(tag);
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    out.reserve(items.len() * W);
+    for &x in items {
+        out.extend_from_slice(&word(x));
     }
 }
 
@@ -187,8 +220,44 @@ fn decode_at(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<Value, CodecEr
             }
             Ok(Value::Map(entries))
         }
+        TAG_U32S => decode_column(bytes, pos, u32::from_le_bytes).map(Value::U32s),
+        TAG_U64S => decode_column(bytes, pos, u64::from_le_bytes).map(Value::U64s),
+        TAG_F32S => {
+            decode_column(bytes, pos, |w| f32::from_bits(u32::from_le_bytes(w))).map(Value::F32s)
+        }
+        TAG_F64S => {
+            decode_column(bytes, pos, |w| f64::from_bits(u64::from_le_bytes(w))).map(Value::F64s)
+        }
         _ => Err(err(tag_offset, "unknown value tag")),
     }
+}
+
+/// Reads a column's count and slices its slab of `W`-byte words out of
+/// `bytes` in one bounds check.
+fn decode_column<T, const W: usize>(
+    bytes: &[u8],
+    pos: &mut usize,
+    word: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, CodecError> {
+    let count = take_len(bytes, pos)?;
+    let start = *pos;
+    let end = count
+        .checked_mul(W)
+        .and_then(|len| start.checked_add(len))
+        .filter(|&e| e <= bytes.len())
+        .ok_or(CodecError {
+            offset: start,
+            reason: "truncated column",
+        })?;
+    *pos = end;
+    Ok(bytes[start..end]
+        .chunks_exact(W)
+        .map(|chunk| {
+            let mut w = [0u8; W];
+            w.copy_from_slice(chunk);
+            word(w)
+        })
+        .collect())
 }
 
 fn take8(bytes: &[u8], pos: &mut usize) -> Result<[u8; 8], CodecError> {

@@ -1,4 +1,4 @@
-//! `predict_store`: the on-disk, versioned, compressed binary artifact store
+//! `predict_store`: the on-disk, versioned, checksummed binary artifact store
 //! for PREDIcT stage artifacts.
 //!
 //! PREDIcT's value proposition is amortization — samples, sample runs and
@@ -29,30 +29,37 @@
 //!
 //! ```text
 //! magic     "PSTR"                       4 bytes
-//! format    u32 = 1                      container layout version
+//! format    u32 = 2                      container layout version
 //! mlen      u32                          manifest length in bytes
 //! manifest  JSON                         see [`Manifest`]
-//! mcheck    u64                          FNV-1a over the manifest bytes
-//! payload   lz4_flex block               compressed binary Value tree
+//! mcheck    u64                          [`checksum`] of the manifest bytes
+//! payload   binary Value tree            see [`codec`]; not compressed
 //! ```
 //!
 //! The manifest carries the artifact schema version, kind, the full logical
-//! key, the dataset provenance hash, and the checksum + lengths of the
+//! key, the dataset provenance hash, and the checksum + length of the
 //! payload, so every read is verified end-to-end before a single byte
 //! reaches a deserializer.
+//!
+//! Payloads are stored uncompressed: the bulk of every large artifact is
+//! numeric columns (CSR offsets and targets, per-superstep profiles), which
+//! the codec already writes as packed little-endian slabs, and a general
+//! byte compressor gains little on those while costing more time than the
+//! read itself.
 //!
 //! # Atomicity and recovery
 //!
 //! Writes go to `tmp/<unique>.tmp` and are published with a single
 //! [`std::fs::rename`] — readers only ever observe absent or complete files;
 //! a crash mid-write leaves garbage in `tmp/` that the next [`open`] sweeps.
-//! Reads validate magic, versions, manifest checksum, payload lengths and
-//! payload checksum; any mismatch (truncation, flipped bits, a foreign
-//! codec) moves the file to `quarantine/` with a [`diag!`] warning and
-//! reports a miss, so the caller recomputes and overwrites — the store
-//! degrades, it never panics. Stale artifacts (provenance or schema-version
-//! mismatch) are plain misses: they stay in place until the write-through
-//! overwrites them.
+//! Reads validate magic, format version, manifest checksum, payload length
+//! and payload checksum; any integrity failure (truncation, flipped bits, a
+//! foreign file) moves the file to `quarantine/` with a [`diag!`] warning
+//! and reports a miss, so the caller recomputes and overwrites — the store
+//! degrades, it never panics. Stale artifacts (a file of another container
+//! format version, or a provenance or schema-version mismatch) are plain
+//! misses: they stay in place until the write-through overwrites them, so
+//! upgrading the format never floods `quarantine/`.
 //!
 //! [`open`]: ArtifactStore::open
 //! [`diag!`]: predict_obs::diag!
@@ -71,12 +78,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Container layout version (the file framing, not the artifact schema).
-pub const FORMAT_VERSION: u32 = 1;
+/// Files of any other version read as stale misses.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Artifact schema version: bump when the serialized shape of any artifact
 /// changes so older store directories read as stale misses instead of
 /// feeding mismatched fields to a deserializer.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"PSTR";
 
@@ -84,19 +92,99 @@ const MAGIC: [u8; 4] = *b"PSTR";
 /// hundred bytes, so anything bigger is a corrupt length word.
 const MAX_MANIFEST_LEN: usize = 1 << 20;
 
-/// FNV-1a 64-bit over a byte slice — the store's checksum function.
-///
-/// The same construction as `predict_core`'s `stable_fingerprint` (FNV-1a,
-/// offset basis `0xcbf29ce484222325`), duplicated here because the
-/// dependency arrow points the other way: `predict_core` consumes this
-/// crate.
+/// The store's checksum of a byte slice: [`Checksum::write_bytes`] on a
+/// fresh state. Covers the manifest and the payload.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut sum = Checksum::new();
+    sum.write_bytes(bytes);
+    sum.finish()
+}
+
+/// FNV-1a 64-bit of a key: the artifact file name. File names keep the hash
+/// every earlier format version used, so a build of a newer format finds an
+/// older file under the same name, reads it as a stale miss and overwrites
+/// it, instead of leaving it orphaned beside the new one.
+fn file_hash(key: &str) -> u64 {
+    key.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A streaming 64-bit checksum that consumes one 64-bit word per step.
+///
+/// Each step is `state = rotl((state ^ word) * K, 29)` with `K` odd: for a
+/// fixed word it is a bijection of the state, and for a fixed state it is
+/// injective in the word. A change to any single word therefore yields a
+/// different state after its step, which every later step (and the
+/// bijective finalizer) carries through to a different checksum — so a
+/// corruption confined to one 8-byte word, a single flipped byte included,
+/// is always detected. Not a cryptographic hash; it guards against
+/// accidental corruption, not an adversary.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    state: u64,
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Self::new()
     }
-    hash
+}
+
+impl Checksum {
+    const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+    const K: u64 = 0xFF51_AFD7_ED55_8CCD;
+
+    /// A fresh checksum state.
+    pub fn new() -> Self {
+        Checksum { state: Self::SEED }
+    }
+
+    /// Absorbs one 64-bit word.
+    #[inline]
+    pub fn write_word(&mut self, word: u64) {
+        self.state = (self.state ^ word).wrapping_mul(Self::K).rotate_left(29);
+    }
+
+    /// Absorbs a byte slice: its little-endian 8-byte words, the zero-padded
+    /// tail, then the length, so consecutive slices never run together.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            self.write_word(u64::from_le_bytes(w));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.write_word(u64::from_le_bytes(w));
+        }
+        self.write_word(bytes.len() as u64);
+    }
+
+    /// Absorbs a `u32` slice two elements per word, then its length.
+    pub fn write_u32s(&mut self, items: &[u32]) {
+        let mut pairs = items.chunks_exact(2);
+        for pair in &mut pairs {
+            self.write_word(pair[0] as u64 | (pair[1] as u64) << 32);
+        }
+        if let [last] = pairs.remainder() {
+            self.write_word(*last as u64);
+        }
+        self.write_word(items.len() as u64);
+    }
+
+    /// The checksum of everything absorbed so far (a bijective avalanche
+    /// of the state, so nearby states give unrelated checksums).
+    pub fn finish(&self) -> u64 {
+        let mut h = self.state;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^= h >> 33;
+        h
+    }
 }
 
 /// The four kinds of artifact a prediction session persists.
@@ -149,12 +237,10 @@ pub struct Manifest {
     /// Provenance hash binding the artifact to the dataset (label + graph
     /// shape) it was computed from; a mismatch is a stale miss.
     pub provenance: u64,
-    /// FNV-1a of the *uncompressed* payload bytes.
+    /// [`checksum`] of the payload bytes.
     pub payload_checksum: u64,
-    /// Length of the compressed payload that follows the header.
-    pub compressed_len: u64,
-    /// Expected length after decompression.
-    pub uncompressed_len: u64,
+    /// Length of the payload that follows the header.
+    pub payload_len: u64,
 }
 
 /// Why a [`ArtifactStore::get`] returned nothing; [`ArtifactStore::get_explained`]
@@ -165,8 +251,9 @@ pub enum MissReason {
     Absent,
     /// File existed but failed validation and was quarantined.
     Quarantined,
-    /// Manifest was readable but belongs to a different provenance, schema
-    /// version, or (filename-collision case) a different full key.
+    /// File belongs to another container format version, or its manifest
+    /// was readable but belongs to a different provenance, schema version,
+    /// or (filename-collision case) a different full key.
     Stale,
 }
 
@@ -192,7 +279,7 @@ impl StoreMetrics {
     }
 }
 
-/// A directory-backed, checksummed, compressed artifact store.
+/// A directory-backed, checksummed artifact store.
 ///
 /// Cheap to share: wrap it in an [`Arc`] and hand clones to every session.
 /// All methods take `&self`; concurrent writers of the *same* key both
@@ -252,7 +339,7 @@ impl ArtifactStore {
     pub fn artifact_path(&self, kind: ArtifactKind, key: &str) -> PathBuf {
         self.root
             .join(kind.name())
-            .join(format!("{:016x}.art", checksum(key.as_bytes())))
+            .join(format!("{:016x}.art", file_hash(key)))
     }
 
     /// Number of quarantined files currently parked under `quarantine/`.
@@ -269,13 +356,12 @@ impl ArtifactStore {
             .unwrap_or(0)
     }
 
-    /// Serializes, compresses and atomically publishes one artifact.
+    /// Serializes, checksums and atomically publishes one artifact.
     ///
     /// The payload is the binary encoding ([`codec`]) of `value`'s serde
-    /// `Value` tree, compressed with the vendored `lz4_flex` block codec.
-    /// Publication is write-to-temp + rename, so readers never observe a
-    /// partial file. Errors are returned (not panicked) so callers can
-    /// degrade to memory-only operation.
+    /// `Value` tree. Publication is write-to-temp + rename, so readers never
+    /// observe a partial file. Errors are returned (not panicked) so callers
+    /// can degrade to memory-only operation.
     pub fn put<T: Serialize + ?Sized>(
         &self,
         kind: ArtifactKind,
@@ -285,7 +371,6 @@ impl ArtifactStore {
     ) -> io::Result<()> {
         let _span = span("store.write");
         let payload = encode_value(&value.serialize_value());
-        let compressed = lz4_flex::compress_prepend_size(&payload);
 
         let manifest = Manifest {
             schema_version: SCHEMA_VERSION,
@@ -293,34 +378,32 @@ impl ArtifactStore {
             key: key.to_string(),
             provenance,
             payload_checksum: checksum(&payload),
-            compressed_len: compressed.len() as u64,
-            uncompressed_len: payload.len() as u64,
+            payload_len: payload.len() as u64,
         };
         let manifest_json = serde_json::to_string(&manifest)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let manifest_bytes = manifest_json.as_bytes();
 
-        let mut file_bytes =
-            Vec::with_capacity(4 + 4 + 4 + manifest_bytes.len() + 8 + compressed.len());
-        file_bytes.extend_from_slice(&MAGIC);
-        file_bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        file_bytes.extend_from_slice(&(manifest_bytes.len() as u32).to_le_bytes());
-        file_bytes.extend_from_slice(manifest_bytes);
-        file_bytes.extend_from_slice(&checksum(manifest_bytes).to_le_bytes());
-        file_bytes.extend_from_slice(&compressed);
+        let mut header = Vec::with_capacity(4 + 4 + 4 + manifest_bytes.len() + 8);
+        header.extend_from_slice(&MAGIC);
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&(manifest_bytes.len() as u32).to_le_bytes());
+        header.extend_from_slice(manifest_bytes);
+        header.extend_from_slice(&checksum(manifest_bytes).to_le_bytes());
 
         // Unique within the process via the counter, across processes via
         // the pid; collisions would only race identical content anyway.
         let tmp_name = format!(
             "{:016x}-{}-{}.tmp",
-            checksum(key.as_bytes()),
+            file_hash(key),
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         );
         let tmp_path = self.root.join("tmp").join(tmp_name);
         {
             let mut file = fs::File::create(&tmp_path)?;
-            file.write_all(&file_bytes)?;
+            file.write_all(&header)?;
+            file.write_all(&payload)?;
             file.sync_all()?;
         }
         let final_path = self.artifact_path(kind, key);
@@ -329,7 +412,9 @@ impl ArtifactStore {
         })?;
 
         self.metrics.writes.incr();
-        self.metrics.bytes.add(file_bytes.len() as u64);
+        self.metrics
+            .bytes
+            .add((header.len() + payload.len()) as u64);
         Ok(())
     }
 
@@ -411,15 +496,21 @@ impl ArtifactStore {
         key: &str,
         provenance: u64,
     ) -> Result<ParseOutcome, &'static str> {
-        if bytes.len() < 12 {
+        if bytes.len() < 8 {
             return Err("file shorter than header");
         }
         if bytes[0..4] != MAGIC {
             return Err("bad magic");
         }
+        // A store file of another format version (written before an
+        // upgrade) is sound, just not readable by this build: a stale miss
+        // the write-through overwrites, not corruption.
         let format = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
         if format != FORMAT_VERSION {
-            return Err("unsupported container format version");
+            return Ok(ParseOutcome::Stale);
+        }
+        if bytes.len() < 12 {
+            return Err("file shorter than header");
         }
         let mlen = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
         if mlen > MAX_MANIFEST_LEN {
@@ -454,19 +545,14 @@ impl ArtifactStore {
             return Ok(ParseOutcome::Stale);
         }
 
-        let compressed = &bytes[check_end..];
-        if compressed.len() as u64 != manifest.compressed_len {
+        let payload = &bytes[check_end..];
+        if payload.len() as u64 != manifest.payload_len {
             return Err("payload length mismatch (truncated write)");
         }
-        let payload = lz4_flex::decompress_size_prepended(compressed)
-            .map_err(|_| "payload decompression failed")?;
-        if payload.len() as u64 != manifest.uncompressed_len {
-            return Err("decompressed length mismatch");
-        }
-        if checksum(&payload) != manifest.payload_checksum {
+        if checksum(payload) != manifest.payload_checksum {
             return Err("payload checksum mismatch");
         }
-        let value = decode_value(&payload).map_err(|_| "payload decode failed")?;
+        let value = decode_value(payload).map_err(|_| "payload decode failed")?;
         Ok(ParseOutcome::Hit(value))
     }
 
@@ -623,6 +709,123 @@ mod tests {
         }
         // Restore for hygiene.
         fs::write(&path, &original).ok();
+    }
+
+    /// A sample-graph-shaped tree: the store's largest payloads are columns.
+    fn column_tree() -> Value {
+        Value::Map(vec![
+            ("out_offsets".to_string(), Value::U64s(vec![0, 2, 5, 9])),
+            ("out_targets".to_string(), Value::U32s((0..9).collect())),
+            (
+                "out_weights".to_string(),
+                Value::F32s(vec![0.5, 1.0, f32::MIN_POSITIVE, 2.0]),
+            ),
+            ("profile".to_string(), Value::F64s(vec![1.5, -0.0, 1e300])),
+        ])
+    }
+
+    #[test]
+    fn every_truncation_and_flip_of_a_column_file_degrades_cleanly() {
+        let dir = TempStoreDir::new();
+        let store = ArtifactStore::open(&dir.0).unwrap();
+        store
+            .put(ArtifactKind::Sample, "cols", 4, &column_tree())
+            .unwrap();
+        let path = store.artifact_path(ArtifactKind::Sample, "cols");
+        let original = fs::read(&path).unwrap();
+        assert_eq!(
+            store.get(ArtifactKind::Sample, "cols", 4),
+            Some(column_tree())
+        );
+        for cut in 0..original.len() {
+            fs::write(&path, &original[..cut]).unwrap();
+            assert_eq!(
+                store.get(ArtifactKind::Sample, "cols", 4),
+                None,
+                "a {cut}-byte prefix read as a hit"
+            );
+        }
+        for i in 0..original.len() {
+            for mask in [0x01u8, 0x80] {
+                let mut corrupt = original.clone();
+                corrupt[i] ^= mask;
+                fs::write(&path, &corrupt).unwrap();
+                if let Some(v) = store.get(ArtifactKind::Sample, "cols", 4) {
+                    assert_eq!(v, column_tree(), "flip at byte {i} altered the artifact");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn other_format_version_is_stale_not_quarantined() {
+        let dir = TempStoreDir::new();
+        let store = ArtifactStore::open(&dir.0).unwrap();
+        // A hand-built version-1 file: magic, format 1, a manifest with the
+        // old compressed/uncompressed length pair, its check word, and an
+        // opaque compressed payload.
+        let manifest = br#"{"schema_version":1,"kind":"model","key":"old","provenance":5,"payload_checksum":1,"compressed_len":4,"uncompressed_len":9}"#;
+        let mut file = Vec::new();
+        file.extend_from_slice(b"PSTR");
+        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&(manifest.len() as u32).to_le_bytes());
+        file.extend_from_slice(manifest);
+        file.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
+        file.extend_from_slice(&[9, 0, 0, 0]);
+        let path = store.artifact_path(ArtifactKind::Model, "old");
+        fs::write(&path, &file).unwrap();
+
+        let (value, reason) = store.get_explained(ArtifactKind::Model, "old", 5);
+        assert!(value.is_none());
+        assert_eq!(reason, Some(MissReason::Stale));
+        assert_eq!(store.quarantined_files(), 0);
+        assert!(path.exists(), "a stale file stays for the write-through");
+
+        // The write-through overwrites it with a current-format file.
+        store.put(ArtifactKind::Model, "old", 5, &tree()).unwrap();
+        assert_eq!(store.get(ArtifactKind::Model, "old", 5), Some(tree()));
+        assert_eq!(store.quarantined_files(), 0);
+    }
+
+    #[test]
+    fn checksum_detects_every_single_byte_flip() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let payload: Vec<u8> = (0..64 * 1024)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let clean = checksum(&payload);
+        let mut corrupt = payload.clone();
+        for i in 0..payload.len() {
+            for mask in [0x01u8, 0xFF] {
+                corrupt[i] ^= mask;
+                assert_ne!(
+                    checksum(&corrupt),
+                    clean,
+                    "flip {mask:#04x} at byte {i} undetected"
+                );
+                corrupt[i] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_separates_lengths_and_streams() {
+        // Zero padding of the tail word must not make lengths collide.
+        assert_ne!(checksum(&[]), checksum(&[0]));
+        assert_ne!(checksum(&[0; 7]), checksum(&[0; 8]));
+        // Streaming the same words in one call or several agrees.
+        let mut a = Checksum::new();
+        a.write_u32s(&[1, 2, 3]);
+        let mut b = Checksum::new();
+        b.write_word(1 | 2 << 32);
+        b.write_word(3);
+        b.write_word(3);
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]
