@@ -30,7 +30,7 @@
 //! measured is identical across runs and machines.
 
 use predict_algorithms::{ConnectedComponentsWorkload, PageRankWorkload, TopKWorkload, Workload};
-use predict_bsp::{BspConfig, BspEngine, GraphStorage, PartitionStrategy, PoolMode};
+use predict_bsp::{BspConfig, BspEngine, GraphStorage, PartitionStrategy, WorkerCounters};
 use predict_core::{PredictRequest, PredictService, PredictorConfig};
 use predict_graph::generators::{generate_grid_road, generate_rmat, GridRoadConfig, RmatConfig};
 use predict_graph::{induced_subgraph, CsrGraph, EdgeList, VertexId};
@@ -248,7 +248,7 @@ fn run_probes() -> Vec<ProbeResult> {
     {
         use std::sync::Arc;
         let graph = Arc::new(generate_rmat(&RmatConfig::new(11, 8).with_seed(PROBE_SEED)));
-        let engine = BspEngine::new(BspConfig::with_workers(4).with_pool(PoolMode::On));
+        let engine = BspEngine::new(BspConfig::with_workers(4));
         let service = PredictService::new(engine.clone(), Arc::new(BiasedRandomJump::default()));
         let config = PredictorConfig::single_ratio(0.1);
         let requests: Vec<PredictRequest> = [
@@ -280,6 +280,68 @@ fn run_probes() -> Vec<ProbeResult> {
             "warm submit_batch spawned {warm_spawns} threads; the pool contract is zero"
         );
         push("pool_warm_batch_spawns", "rmat_s11_d8", warm_spawns);
+    }
+
+    // Prediction-stack probes. `cost_model_fit` trains the cost model
+    // (regression plus forward feature selection) on 100 pinned synthetic
+    // superstep observations; `cold_predict` is one whole prediction —
+    // sample, sample run, training, extrapolation — on a fresh session, so
+    // nothing is amortized across repeats.
+    {
+        use predict_core::{
+            CostModel, CostModelConfig, FeatureSet, IterationObservation, Predictor,
+        };
+        use predict_graph::datasets::{Dataset, DatasetConfig, DatasetScale};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::Arc;
+
+        let mut rng = StdRng::seed_from_u64(PROBE_SEED);
+        let observations: Vec<IterationObservation> = (0..100)
+            .map(|superstep| {
+                let active = rng.gen_range(100u64..10_000);
+                let remote_bytes = rng.gen_range(10_000u64..1_000_000);
+                let counters = WorkerCounters {
+                    active_vertices: active,
+                    total_vertices: active * 2,
+                    local_messages: active,
+                    remote_messages: remote_bytes / 64,
+                    local_message_bytes: remote_bytes / 8,
+                    remote_message_bytes: remote_bytes,
+                };
+                IterationObservation {
+                    superstep,
+                    features: FeatureSet::from_counters(&counters),
+                    wall_time_ms: 10.0 + 0.0003 * remote_bytes as f64 + 0.001 * active as f64,
+                }
+            })
+            .collect();
+        push(
+            "cost_model_fit",
+            "synthetic_x100",
+            median_ns(reps, || {
+                CostModel::train(&observations, &CostModelConfig::default())
+                    .expect("probe model trains")
+            }),
+        );
+
+        let graph =
+            Arc::new(DatasetConfig::new(Dataset::Wikipedia, DatasetScale::Small).generate());
+        let workload = PageRankWorkload::with_epsilon(0.001, graph.num_vertices());
+        let engine = Arc::new(BspEngine::new(BspConfig::with_workers(8)));
+        push(
+            "cold_predict",
+            "wiki_small",
+            median_ns(reps, || {
+                Predictor::builder()
+                    .engine(Arc::clone(&engine))
+                    .sampler(BiasedRandomJump::default())
+                    .config(PredictorConfig::single_ratio(0.1))
+                    .bind(Arc::clone(&graph), "Wiki")
+                    .predict(&workload)
+                    .expect("cold prediction succeeds")
+            }),
+        );
     }
 
     // Observability probes: the disabled tracer and the metrics counters sit

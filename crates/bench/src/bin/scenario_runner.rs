@@ -207,7 +207,7 @@ fn main() {
     // The transport every child scenario inherits through the environment;
     // parsed with the same knob rules the engine itself applies.
     let transport = predict_bsp::env_transport().name();
-    println!("transport: {transport} (set PREDICT_TRANSPORT=inmem|inproc|process)");
+    println!("transport: {transport} (set PREDICT_TRANSPORT=inmem|inproc|socket)");
 
     let golden = golden_dir();
     if bless {

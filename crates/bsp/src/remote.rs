@@ -13,8 +13,9 @@
 //!   dispatch to a remote transport happens in `predict_cluster`, which
 //!   sits above this crate.
 //! * [`MeasuredRun`] / [`MeasuredSuperstep`] — *measured* wall-clock and
-//!   bytes-on-the-wire timings the cluster driver attaches to the profile
-//!   of a remote run, alongside the simulated [`ClusterClock`] timings.
+//!   bytes-on-the-wire timings the master ([`crate::runtime::run_master`])
+//!   attaches to the profile of a remote run, alongside the simulated
+//!   [`ClusterClock`] timings.
 //!   These are the first real timings in the stack, and they let the
 //!   paper's simulated cluster model be compared against an actual
 //!   message-passing execution. They are intentionally **not serialized**
@@ -23,7 +24,7 @@
 //!   measured times differ run to run, while serialized profiles are pinned
 //!   byte-for-byte by the golden scenarios and the history store.
 //!
-//! Like execution, storage and pool modes, the transport is a pure
+//! Like execution and storage modes, the transport is a pure
 //! performance/topology knob: the runtime's determinism contract extends
 //! across the transport boundary (see `crate::runtime` point 8), so values,
 //! serialized profiles and halt reasons are byte-identical under every
@@ -43,8 +44,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum TransportMode {
     /// Honor the `PREDICT_TRANSPORT` environment variable (`inmem`,
-    /// `inproc`, `process` or `socket`; unset or invalid values fall back
-    /// to the in-memory executor, invalid ones with a warning).
+    /// `inproc` or `socket`; unset or invalid values fall back to the
+    /// in-memory executor, invalid ones with a warning).
     #[default]
     Auto,
     /// The in-memory executor (`crate::runtime`) — no transport boundary.
@@ -53,10 +54,7 @@ pub enum TransportMode {
     /// carrying serialized wire-format frames.
     InProc,
     /// One long-lived OS worker process per shard (the `cluster_worker`
-    /// binary), speaking the wire format over pipes.
-    Process,
-    /// One long-lived OS worker process per shard, speaking the wire
-    /// format over a Unix-domain socket stream instead of pipes.
+    /// binary), speaking the wire format over a Unix-domain socket stream.
     Socket,
 }
 
@@ -66,7 +64,6 @@ impl TransportMode {
         match self {
             Self::InMemory => TransportChoice::InMemory,
             Self::InProc => TransportChoice::InProc,
-            Self::Process => TransportChoice::Process,
             Self::Socket => TransportChoice::Socket,
             Self::Auto => knobs::env_transport(),
         }
@@ -76,25 +73,25 @@ impl TransportMode {
 /// Measured timings of one superstep of a transport-backed run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MeasuredSuperstep {
-    /// Wall-clock time of the whole superstep round as seen by the driver:
+    /// Wall-clock time of the whole superstep round as seen by the master:
     /// from broadcasting the step frame until the last worker's step-done
-    /// frame was collected.
+    /// frame was collected and merged.
     pub wall_ns: u64,
     /// Per-worker compute-phase time in nanoseconds, measured inside each
     /// worker (aligned with worker index).
     pub worker_compute_ns: Vec<u64>,
-    /// Serialized bytes each worker put on the wire this superstep (the
-    /// encoded outbound message batches, aligned with worker index).
+    /// Serialized bytes exchanged with each worker this superstep (its step
+    /// and step-done frames, aligned with worker index).
     pub wire_bytes: Vec<u64>,
 }
 
 /// Measured timings of a whole transport-backed run, attached to
 /// [`RunProfile::measured`](crate::profile::RunProfile::measured) by the
-/// cluster driver. `None` on in-memory runs.
+/// master for runs behind a transport. `None` on in-memory runs.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MeasuredRun {
     /// Name of the transport that executed the run (`"inproc"` or
-    /// `"process"`).
+    /// `"socket"`).
     pub transport: String,
     /// One entry per executed superstep, aligned with
     /// [`RunProfile::supersteps`](crate::profile::RunProfile::supersteps).
@@ -129,7 +126,6 @@ mod tests {
     fn forced_modes_ignore_the_environment() {
         assert_eq!(TransportMode::InMemory.resolve(), TransportChoice::InMemory);
         assert_eq!(TransportMode::InProc.resolve(), TransportChoice::InProc);
-        assert_eq!(TransportMode::Process.resolve(), TransportChoice::Process);
         assert_eq!(TransportMode::Socket.resolve(), TransportChoice::Socket);
     }
 

@@ -1,50 +1,47 @@
-//! The superstep executor: master loop, phase scheduling and thread fan-out.
+//! In-memory execution: the shards of a run as a [`WorkerSet`], and
+//! [`execute`], which hands them to the master.
 //!
-//! [`execute`] drives a full BSP run over sharded worker state. Each
-//! superstep is two phases:
+//! Each superstep of [`LocalShards`] is two phases:
 //!
 //! 1. **compute** — every shard runs [`WorkerShard::run_superstep`]; shards
-//!    are disjoint, so the executor spreads them over scoped OS threads;
-//! 2. **delivery** — the master transposes the per-worker routed outboxes
-//!    into per-destination inbound rows (an `O(workers²)` pointer swap, no
-//!    message is copied), then every shard runs [`WorkerShard::deliver`],
-//!    again in parallel.
+//!    are disjoint, so the phase fans out over the persistent
+//!    [`WorkerPool`];
+//! 2. **delivery** — the routed outboxes are transposed into per-destination
+//!    inbound rows (an `O(workers²)` pointer swap, no message is copied),
+//!    then every shard runs [`WorkerShard::deliver`], again in parallel.
 //!
-//! Everything order-sensitive stays on the master thread between phases:
-//! counters are collected, aggregates merged and the [`ClusterClock`] advanced
-//! in ascending worker order, exactly as the old sequential loop did. See
+//! Everything order-sensitive — the merge, the clock, the halt checks —
+//! happens in [`run_master`] between supersteps, on the calling thread. See
 //! [`crate::runtime`] for the resulting determinism contract.
 
 use crate::aggregator::Aggregates;
 use crate::config::BspConfig;
-use crate::cost::ClusterClock;
-use crate::engine::{BspRunResult, HaltReason};
-use crate::profile::{RunProfile, SuperstepProfile};
+use crate::engine::BspRunResult;
 use crate::program::VertexProgram;
 use crate::runtime::layout::ShardLayout;
-use crate::runtime::pool::{self, WorkerPool};
+use crate::runtime::master::{run_master, WorkerReport, WorkerSet};
+use crate::runtime::pool::WorkerPool;
 use crate::runtime::shard::WorkerShard;
 use crate::storage::StorageRef;
-use predict_graph::{CsrGraph, VertexId};
+use predict_graph::VertexId;
+use std::convert::Infallible;
+use std::time::Instant;
 
 /// One row of the inbound transpose matrix: the message buffers destined for
 /// (or produced by) one worker, one buffer per peer worker.
 type MessageRow<M> = Vec<Vec<(VertexId, M)>>;
 
 /// Splits `items` into at most `threads` contiguous chunks and runs `f` on
-/// every item. With a pool, the chunks are scheduled as one scope on the
-/// persistent workers (zero spawns once warm); without one, they fan out
-/// over per-phase scoped OS threads — the pre-pool behavior, kept as the
-/// `PoolMode::Off` escape hatch and counted so spawn-based benches can
-/// compare the two. `threads == 1` degenerates to a plain in-place loop
-/// with no spawn and no pool interaction at all.
+/// every item, scheduling the chunks as one scope on `pool` (zero spawns once
+/// the pool is warm). `threads == 1` degenerates to a plain in-place loop
+/// that never touches the pool.
 ///
 /// `f` must be safe to run concurrently on distinct items; chunk boundaries
 /// never affect results, only wall-clock time.
 fn for_each_chunked<T: Send, F: Fn(&mut T) + Sync>(
     items: &mut [T],
     threads: usize,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     f: F,
 ) {
     if threads <= 1 || items.len() <= 1 {
@@ -54,135 +51,96 @@ fn for_each_chunked<T: Send, F: Fn(&mut T) + Sync>(
         return;
     }
     let chunk_size = items.len().div_ceil(threads);
-    match pool {
-        Some(pool) => {
-            let f = &f;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-                .chunks_mut(chunk_size)
-                .map(|chunk| {
-                    Box::new(move || {
-                        for item in chunk {
-                            f(item);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(threads, tasks);
-        }
-        None => std::thread::scope(|scope| {
-            let mut chunks = items.chunks_mut(chunk_size);
-            let first = chunks.next();
-            let f = &f;
-            for chunk in chunks {
-                pool::record_external_spawn();
-                scope.spawn(move || {
-                    for item in chunk {
-                        f(item);
-                    }
-                });
-            }
-            if let Some(chunk) = first {
+    let f = &f;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+        .chunks_mut(chunk_size)
+        .map(|chunk| {
+            Box::new(move || {
                 for item in chunk {
                     f(item);
                 }
-            }
-        }),
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run_scoped(threads, tasks);
+}
+
+/// The in-memory worker set: one [`WorkerShard`] per worker, phases spread
+/// over `threads` pool threads.
+struct LocalShards<'a, P: VertexProgram> {
+    program: &'a P,
+    storage: StorageRef<'a>,
+    layout: &'a ShardLayout,
+    threads: usize,
+    pool: &'a WorkerPool,
+    shards: Vec<WorkerShard<P>>,
+    /// `inbound[dst][src]` buffers circulate between the shards' routed
+    /// outboxes and the delivery phase, so message buffers are pooled across
+    /// supersteps rather than reallocated.
+    inbound: Vec<MessageRow<P::Message>>,
+}
+
+impl<'a, P: VertexProgram> LocalShards<'a, P> {
+    fn new(
+        program: &'a P,
+        storage: StorageRef<'a>,
+        layout: &'a ShardLayout,
+        threads: usize,
+        pool: &'a WorkerPool,
+    ) -> Self {
+        let num_workers = layout.num_workers();
+        let mut shards: Vec<WorkerShard<P>> = (0..num_workers)
+            .map(|w| WorkerShard::init_empty(w, layout))
+            .collect();
+        // Value initialization fans out like a phase.
+        for_each_chunked(&mut shards, threads, pool, |shard| {
+            shard.init_values(program, storage.worker_graph(shard.worker), layout);
+        });
+        let inbound = (0..num_workers)
+            .map(|_| (0..num_workers).map(|_| Vec::new()).collect())
+            .collect();
+        Self {
+            program,
+            storage,
+            layout,
+            threads,
+            pool,
+            shards,
+            inbound,
+        }
     }
 }
 
-/// Executes `program` on a unified `graph` over the sharded state described
-/// by `layout`, spreading per-shard phases over `threads` OS threads.
-///
-/// Storage-generic callers use [`execute_on`]; this thin wrapper keeps the
-/// original unified-graph signature for direct runtime users and tests.
-pub fn execute<P: VertexProgram>(
-    program: &P,
-    graph: &CsrGraph,
-    layout: &ShardLayout,
-    config: &BspConfig,
-    threads: usize,
-) -> BspRunResult<P::VertexValue> {
-    execute_on(program, StorageRef::Unified(graph), layout, config, threads)
-}
+impl<P: VertexProgram> WorkerSet for LocalShards<'_, P> {
+    type Value = P::VertexValue;
+    type Error = Infallible;
 
-/// Executes `program` against `storage` — the unified CSR or one
-/// [`ShardedCsr`](predict_graph::ShardedCsr) per worker — over the sharded
-/// state described by `layout`, spreading per-shard phases over `threads` OS
-/// threads.
-///
-/// This is the engine's whole run loop; [`crate::BspEngine::run`] and
-/// [`crate::BspEngine::run_storage`] are thin facades over it. The output is
-/// byte-identical for every `threads` value *and* for both storage layouts:
-/// under sharded storage each worker's phases read only its own shard's
-/// adjacency, which holds exactly the bytes the unified CSR holds for the
-/// worker's owned vertices.
-pub fn execute_on<P: VertexProgram>(
-    program: &P,
-    storage: StorageRef<'_>,
-    layout: &ShardLayout,
-    config: &BspConfig,
-    threads: usize,
-) -> BspRunResult<P::VertexValue> {
-    execute_pooled(program, storage, layout, config, threads, None)
-}
+    fn transport(&self) -> Option<(&'static str, Instant)> {
+        None
+    }
 
-/// [`execute_on`], with parallel phases scheduled on `pool` when one is
-/// given. The engine resolves its [`PoolMode`](crate::config::PoolMode) and
-/// passes its persistent pool here; `None` falls back to per-phase scoped
-/// threads. Pool or not, the output is byte-identical — the pool only
-/// changes which OS thread runs a chunk, never the chunking, the merge
-/// order, or anything else the determinism contract pins.
-pub fn execute_pooled<P: VertexProgram>(
-    program: &P,
-    storage: StorageRef<'_>,
-    layout: &ShardLayout,
-    config: &BspConfig,
-    threads: usize,
-    pool: Option<&WorkerPool>,
-) -> BspRunResult<P::VertexValue> {
-    let num_workers = layout.num_workers();
-    let _run_span = predict_obs::trace::span("bsp.run")
-        .arg("algorithm", program.name())
-        .arg("workers", num_workers)
-        .arg("threads", threads);
-    let superstep_ns = predict_obs::registry().histogram("bsp.superstep_ns");
-    let mut clock = ClusterClock::new(config.cost.clone());
+    fn superstep(
+        &mut self,
+        superstep: usize,
+        previous_aggregates: &Aggregates,
+    ) -> Result<impl Iterator<Item = WorkerReport<'_>>, Infallible> {
+        let Self {
+            program,
+            storage,
+            layout,
+            threads,
+            pool,
+            shards,
+            inbound,
+        } = self;
+        let (program, storage, layout) = (*program, *storage, *layout);
 
-    // Setup and read phases.
-    let setup_ms = clock.setup_time_ms();
-    let read_ms = clock.read_time_ms(storage.num_edges(), num_workers);
-
-    // Per-worker sharded state; value initialization fans out like a phase.
-    let mut shards: Vec<WorkerShard<P>> = (0..num_workers)
-        .map(|w| WorkerShard::init_empty(w, layout))
-        .collect();
-    for_each_chunked(&mut shards, threads, pool, |shard| {
-        shard.init_values(program, storage.worker_graph(shard.worker), layout);
-    });
-
-    // Inbound matrix: `inbound[dst][src]` buffers circulate between the
-    // shards' routed outboxes and the delivery phase, so message buffers are
-    // pooled across supersteps rather than reallocated.
-    let mut inbound: Vec<MessageRow<P::Message>> = (0..num_workers)
-        .map(|_| (0..num_workers).map(|_| Vec::new()).collect())
-        .collect();
-
-    let combiner = program.combiner();
-    let mut previous_aggregates = Aggregates::new();
-    let mut supersteps: Vec<SuperstepProfile> = Vec::new();
-    let mut halt_reason = HaltReason::MaxSupersteps;
-
-    for superstep in 0..config.max_supersteps {
-        let _superstep_span =
-            predict_obs::trace::span("bsp.superstep").arg("superstep", superstep as u64);
-        let superstep_start = std::time::Instant::now();
         // Compute phase: every shard processes its vertices against its own
         // view of the graph. Shards are disjoint; the fan-out cannot reorder
         // anything observable.
         {
             let _compute_span = predict_obs::trace::span("bsp.compute");
-            let previous_aggregates = &previous_aggregates;
-            for_each_chunked(&mut shards, threads, pool, |shard| {
+            for_each_chunked(shards, *threads, pool, |shard| {
                 shard.run_superstep(
                     program,
                     storage.worker_graph(shard.worker),
@@ -191,18 +149,6 @@ pub fn execute_pooled<P: VertexProgram>(
                     previous_aggregates,
                 );
             });
-        }
-
-        // Master: merge worker outputs in ascending worker order — the same
-        // order the sequential loop used, which pins counter vectors, float
-        // aggregate sums and message delivery order bit-for-bit.
-        let mut worker_counters = Vec::with_capacity(num_workers);
-        let mut aggregates = Aggregates::new();
-        let mut messages_sent = 0u64;
-        for shard in &shards {
-            worker_counters.push(shard.counters);
-            aggregates.merge(&shard.partial_aggregates);
-            messages_sent += shard.counters.total_messages();
         }
 
         // Transpose routed outboxes into inbound rows by swapping buffers.
@@ -216,72 +162,47 @@ pub fn execute_pooled<P: VertexProgram>(
         // (ascending source worker, production order within a source).
         {
             let _deliver_span = predict_obs::trace::span("bsp.deliver");
+            let combiner = program.combiner();
             let mut pairs: Vec<(&mut WorkerShard<P>, &mut MessageRow<P::Message>)> =
                 shards.iter_mut().zip(inbound.iter_mut()).collect();
-            for_each_chunked(&mut pairs, threads, pool, |(shard, row)| {
+            for_each_chunked(&mut pairs, *threads, pool, |(shard, row)| {
                 shard.deliver(layout, row, combiner);
             });
         }
 
-        // Synchronization phase: the simulated clock charges the critical
-        // path (slowest worker) plus fixed overhead and barrier.
-        let (wall_time_ms, worker_times_ms) = clock.superstep_time_ms(&worker_counters);
-        supersteps.push(SuperstepProfile {
-            superstep,
-            workers: worker_counters,
-            worker_times_ms,
-            wall_time_ms,
-            aggregates: aggregates.clone(),
-        });
-        superstep_ns.record(superstep_start.elapsed().as_nanos() as u64);
-
-        // Termination checks, in the same priority order as Giraph: the
-        // algorithm's global convergence condition first, then the
-        // "all halted and silent" default.
-        if program.master_halt(superstep, &aggregates) {
-            halt_reason = HaltReason::MasterConverged;
-            break;
-        }
-        if messages_sent == 0 && shards.iter().all(|s| s.all_halted()) {
-            halt_reason = HaltReason::AllVerticesHalted;
-            break;
-        }
-        previous_aggregates = aggregates;
-    }
-    predict_obs::registry()
-        .counter("bsp.supersteps")
-        .add(supersteps.len() as u64);
-
-    let n = storage.num_vertices();
-    let write_ms = clock.write_time_ms(n, num_workers);
-
-    // Scatter shard values back into a dense vertex-indexed vector. Shard
-    // slots ascend with vertex id, so walking one cursor per shard moves
-    // every value without cloning it.
-    let mut cursors: Vec<_> = shards.into_iter().map(|s| s.values.into_iter()).collect();
-    let mut values: Vec<P::VertexValue> = Vec::with_capacity(n);
-    for v in 0..n {
-        values.push(
-            cursors[layout.owner_of(v as VertexId)]
-                .next()
-                .expect("every vertex has a shard value"),
-        );
+        Ok(self.shards.iter().map(|shard| WorkerReport {
+            counters: shard.counters,
+            partial_aggregates: &shard.partial_aggregates,
+            all_halted: shard.all_halted,
+            compute_ns: 0,
+            wire_bytes: 0,
+        }))
     }
 
-    let profile = RunProfile {
-        algorithm: program.name().to_string(),
-        num_vertices: n,
-        num_edges: storage.num_edges(),
-        num_workers,
-        setup_ms,
-        read_ms,
-        write_ms,
-        supersteps,
-        measured: None,
-    };
-    BspRunResult {
-        values,
-        profile,
-        halt_reason,
+    fn finish(self) -> Result<Vec<Vec<P::VertexValue>>, Infallible> {
+        Ok(self.shards.into_iter().map(|shard| shard.values).collect())
     }
+}
+
+/// Executes `program` against `storage` — the unified CSR or one
+/// [`ShardedCsr`](predict_graph::ShardedCsr) per worker — over the sharded
+/// state described by `layout`, spreading per-shard phases over `threads`
+/// threads of `pool`.
+///
+/// [`crate::BspEngine::run`] and [`crate::BspEngine::run_storage`] are thin
+/// facades over this. The output is byte-identical for every `threads` value
+/// *and* for both storage layouts: under sharded storage each worker's phases
+/// read only its own shard's adjacency, which holds exactly the bytes the
+/// unified CSR holds for the worker's owned vertices.
+pub fn execute<P: VertexProgram>(
+    program: &P,
+    storage: StorageRef<'_>,
+    layout: &ShardLayout,
+    config: &BspConfig,
+    threads: usize,
+    pool: &WorkerPool,
+) -> BspRunResult<P::VertexValue> {
+    let shards = LocalShards::new(program, storage, layout, threads, pool);
+    let Ok(result) = run_master(program, shards, layout, config, storage.num_edges());
+    result
 }

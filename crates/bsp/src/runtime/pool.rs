@@ -41,11 +41,9 @@
 //!   self-deadlock a pooled batch of duplicate requests hit in its first
 //!   round.
 //! - **Lazy spawning, counted.** Threads spawn on first demand up to the slot
-//!   count, never per task. Every spawn increments both a per-pool counter
-//!   ([`WorkerPool::threads_spawned`]) and a process-global one
-//!   ([`process_threads_spawned`]); the legacy scoped-thread fallbacks report
-//!   to the global counter too via [`record_external_spawn`], so a test can
-//!   assert a warm path spawned nothing anywhere.
+//!   count, never per task. Every spawn increments a per-pool counter
+//!   ([`WorkerPool::threads_spawned`]), so a test can assert a warm path
+//!   spawned nothing.
 //! - **Panic isolation.** Each task runs under `catch_unwind`; the first
 //!   payload is stashed in the scope latch and re-thrown to the *submitting*
 //!   thread after the scope completes, mirroring `std::thread::scope`
@@ -74,23 +72,6 @@ pub const DEFAULT_POOL_CAPACITY: usize = 32;
 /// Sleeping workers re-check for work at least this often, as a lost-wakeup
 /// belt-and-braces; correctness never depends on the timeout firing.
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// Process-wide count of OS threads spawned by the parallel runtime — pool
-/// workers plus every legacy scoped-thread fallback that reports through
-/// [`record_external_spawn`]. Counter-based perf tests assert this stays
-/// flat across warm batches.
-static PROCESS_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Total OS threads the parallel runtime has spawned in this process.
-pub fn process_threads_spawned() -> u64 {
-    PROCESS_SPAWNS.load(Ordering::SeqCst)
-}
-
-/// Reports one OS-thread spawn performed outside the pool (the scoped-thread
-/// fallback paths), so [`process_threads_spawned`] covers every spawn site.
-pub fn record_external_spawn() {
-    PROCESS_SPAWNS.fetch_add(1, Ordering::SeqCst);
-}
 
 /// Acquires a mutex, recovering the guard if a previous holder panicked.
 /// Pool state is kept consistent by atomics, not by guard scopes, so a
@@ -338,7 +319,6 @@ impl WorkerPool {
             match spawned {
                 Ok(handle) => {
                     self.state.spawned.fetch_add(1, Ordering::SeqCst);
-                    PROCESS_SPAWNS.fetch_add(1, Ordering::SeqCst);
                     handles.push(handle);
                     self.state.live.fetch_add(1, Ordering::Release);
                 }

@@ -43,6 +43,10 @@ pub struct WorkerShard<P: VertexProgram> {
     pub counters: WorkerCounters,
     /// Partial aggregates of the current superstep (cleared in place).
     pub partial_aggregates: Aggregates,
+    /// Every owned vertex had voted to halt at the end of the last compute
+    /// phase (tracked by [`WorkerShard::run_superstep`], so the master's
+    /// halt check never rescans the flags).
+    pub all_halted: bool,
 }
 
 impl<P: VertexProgram> WorkerShard<P> {
@@ -60,6 +64,7 @@ impl<P: VertexProgram> WorkerShard<P> {
             routed: (0..layout.num_workers()).map(|_| Vec::new()).collect(),
             counters: WorkerCounters::new(vertices.len() as u64),
             partial_aggregates: Aggregates::new(),
+            all_halted: false,
         }
     }
 
@@ -92,10 +97,5 @@ impl<P: VertexProgram> WorkerShard<P> {
         let mut shard = Self::init_empty(worker, layout);
         shard.init_values(program, graph, layout);
         shard
-    }
-
-    /// True when every owned vertex has voted to halt.
-    pub fn all_halted(&self) -> bool {
-        self.halted.iter().all(|&h| h)
     }
 }

@@ -47,6 +47,9 @@ impl<P: VertexProgram> WorkerShard<P> {
         self.counters.reset(self.values.len() as u64);
         self.partial_aggregates.clear();
         debug_assert!(self.outbox.is_empty());
+        // Skipped vertices stay halted, so the shard is all-halted exactly
+        // when every vertex that computed voted to halt.
+        self.all_halted = true;
 
         for (i, &v) in layout.shard_vertices(self.worker).iter().enumerate() {
             let incoming = &mut self.inboxes[i];
@@ -78,6 +81,7 @@ impl<P: VertexProgram> WorkerShard<P> {
             }
             incoming.clear();
             self.halted[i] = vertex_halted;
+            self.all_halted &= vertex_halted;
 
             // Classify and count the messages this vertex just sent.
             for (dst, msg) in &self.outbox[outbox_start..] {
@@ -195,7 +199,7 @@ mod tests {
         assert_eq!(shard.routed[0], vec![(2, 0)]);
         assert_eq!(shard.routed[1], vec![(1, 0), (3, 2)]);
         // Both vertices voted to halt.
-        assert!(shard.all_halted());
+        assert!(shard.all_halted);
     }
 
     #[test]
@@ -213,6 +217,7 @@ mod tests {
         );
         assert_eq!(shard.counters.active_vertices, 0);
         assert!(shard.routed.iter().all(|r| r.is_empty()));
+        assert!(shard.all_halted, "skipped vertices stay halted");
     }
 
     #[test]
@@ -241,7 +246,7 @@ mod tests {
         );
         assert_eq!(shard.partial_aggregates.get("received"), Some(2.0));
         // The vertex voted to halt again after processing.
-        assert!(shard.all_halted());
+        assert!(shard.all_halted);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Long-lived BSP worker process.
 //!
-//! By default speaks the framed cluster protocol over stdin/stdout (which
-//! is why nothing here may ever print to stdout); `--socket <path>`
-//! connects to a driver's Unix-domain listener instead, and `--tcp
-//! <host:port>` to a TCP listener — the same serve loop over a different
-//! byte stream. Serves episodes until the driver closes the connection or
-//! sends `Shutdown`. Diagnostics go to stderr, where the driver tails them
-//! into failure reports.
+//! `--socket <path>` connects to a driver's Unix-domain listener and
+//! `--tcp <host:port>` to a loopback TCP listener; either way the process
+//! speaks the framed cluster protocol over that stream. Serves episodes
+//! until the driver closes the connection or sends `Shutdown`. Diagnostics
+//! go to stderr, where the driver tails them into failure reports.
 
 use predict_cluster::socket::{SocketStream, CONNECT_TIMEOUT};
 use predict_cluster::{serve, StdioEndpoint};
@@ -14,16 +12,11 @@ use predict_cluster::{serve, StdioEndpoint};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
-        [] => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve(&mut StdioEndpoint::new(stdin.lock(), stdout.lock()), true)
-        }
         [flag, addr] if flag == "--socket" || flag == "--tcp" => serve_socket(addr),
         _ => {
             predict_obs::diag!(
                 Error,
-                "cluster_worker: usage: cluster_worker [--socket <path> | --tcp <host:port>]"
+                "cluster_worker: usage: cluster_worker (--socket <path> | --tcp <host:port>)"
             );
             std::process::exit(2);
         }

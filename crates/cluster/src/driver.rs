@@ -1,30 +1,31 @@
-//! The cluster driver: the BSP master over a transport boundary.
+//! The cluster driver: worker-group setup around the BSP master.
 //!
 //! [`drive`] runs one vertex program to completion against a group of
-//! workers, mirroring the in-memory executor
-//! (`predict_bsp::runtime`) phase for phase: the same clock call order, the
-//! same ascending-worker merges, the same halt priority — which is what
-//! makes the result byte-identical to an in-memory run (determinism contract
-//! point 8). What the in-memory executor does with buffer swaps, the driver
-//! does with `Step`/`StepDone` frames; everything order-sensitive still
-//! happens on this thread.
+//! workers. It sends each worker its shard (`Init`), then hands the group to
+//! [`run_master`] — the same superstep loop the in-memory executor runs — as
+//! a [`WorkerSet`] whose superstep is one `Step`/`StepDone` round trip per
+//! worker and whose finish collects the `Values` frames. The master owns the
+//! clock order, the ascending-worker merge, the halt priority and the
+//! profile, which is what makes the result byte-identical to an in-memory
+//! run (determinism contract point 8).
 //!
-//! On top of the simulated [`ClusterClock`] timings the driver records what
-//! the paper's simulated clock cannot see: *measured* per-superstep wall
-//! time, per-worker compute time and bytes-on-the-wire, attached to the
-//! returned [`RunProfile`] as a [`MeasuredRun`].
+//! On top of the simulated [`ClusterClock`](predict_bsp::ClusterClock)
+//! timings, the master records what the paper's simulated clock cannot see
+//! for a transported run: *measured* per-superstep wall time, per-worker
+//! compute time and bytes-on-the-wire, attached to the returned
+//! [`RunProfile`](predict_bsp::RunProfile) as a
+//! [`MeasuredRun`](predict_bsp::MeasuredRun).
 
 use crate::error::ClusterError;
 use crate::fault::FaultSchedule;
 use crate::protocol::{self, tag, FaultSpec, InitHeader, ProgramSpec, StepBody, StepDoneBody};
 use crate::transport::{self, Connection, TransportKind, WorkerGroup};
 use crate::wire::{decode_exact, encode_to_vec, Wire, WireBatch};
-use predict_bsp::runtime::ShardLayout;
-use predict_bsp::{
-    Aggregates, BspConfig, BspRunResult, ClusterClock, GraphStorage, HaltReason, MeasuredRun,
-    MeasuredSuperstep, RunProfile, SuperstepProfile, VertexProgram,
-};
-use predict_graph::{CsrGraph, ShardedCsr, VertexId};
+use predict_bsp::runtime::{run_master, ShardLayout, WorkerReport, WorkerSet};
+use predict_bsp::{Aggregates, BspConfig, BspRunResult, GraphStorage, VertexProgram};
+use predict_graph::{CsrGraph, ShardedCsr};
+use predict_obs::metrics::Counter;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a cluster drive runs: backend, read deadline, injected fault.
@@ -69,7 +70,7 @@ impl DriveOptions {
 /// Runs `program` over `graph` on a worker group, returning the same
 /// [`BspRunResult`] the in-memory engine returns — byte-identical values,
 /// profile and halt reason — plus measured timings in
-/// [`RunProfile::measured`].
+/// [`RunProfile::measured`](predict_bsp::RunProfile::measured).
 ///
 /// `spec` must describe the same program as `program` (the driver keeps its
 /// own instance for the master-side halt check; the workers build theirs
@@ -164,6 +165,8 @@ fn expect_frame(
     Ok(body)
 }
 
+/// Sets up `group` for one run (INIT/INIT_OK), hands it to the BSP master
+/// as a [`RemoteGroup`], and returns the master's result.
 fn drive_on_group<P>(
     program: &P,
     spec: &ProgramSpec,
@@ -179,21 +182,11 @@ where
     P::VertexValue: Wire,
 {
     let num_workers = config.num_workers;
-    let n = graph.num_vertices();
-    let layout = ShardLayout::build(n, num_workers, config.partition_strategy);
-    let run_start = Instant::now();
+    let layout = ShardLayout::build(graph.num_vertices(), num_workers, config.partition_strategy);
+    let started = Instant::now();
     let _run_span = predict_obs::trace::span("cluster.run")
         .arg("transport", opts.kind.name())
         .arg("workers", num_workers);
-    let step_ns = predict_obs::registry().histogram("cluster.step_ns");
-    let wire_bytes_counter = predict_obs::registry().counter("cluster.wire_bytes");
-
-    // Same clock call order as the in-memory executor: setup, read, one
-    // superstep call per superstep, write — so simulated times (including
-    // their deterministic noise stream) match bit for bit.
-    let mut clock = ClusterClock::new(config.cost.clone());
-    let setup_ms = clock.setup_time_ms();
-    let read_ms = clock.read_time_ms(graph.num_edges(), num_workers);
 
     let GraphStorage::Sharded(shards) =
         GraphStorage::shard_graph(graph, num_workers, config.partition_strategy)
@@ -222,48 +215,83 @@ where
         expect_frame(conn, tag::INIT_OK, opts.timeout)?;
     }
 
-    // Undelivered batches per destination worker. Filled from `StepDone`
-    // replies in ascending source order, drained into the next `Step`.
-    let mut pending: Vec<Vec<WireBatch<P::Message>>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
-    let mut previous_aggregates = Aggregates::new();
-    let mut supersteps: Vec<SuperstepProfile> = Vec::new();
-    let mut measured: Vec<MeasuredSuperstep> = Vec::new();
-    let mut halt_reason = HaltReason::MaxSupersteps;
+    let workers = RemoteGroup::<P> {
+        group,
+        layout: &layout,
+        timeout: opts.timeout,
+        transport: opts.kind.name(),
+        started,
+        pending: (0..num_workers).map(|_| Vec::new()).collect(),
+        done: Vec::with_capacity(num_workers),
+        wire_bytes: Vec::with_capacity(num_workers),
+        wire_bytes_counter: predict_obs::registry().counter("cluster.wire_bytes"),
+    };
+    run_master(program, workers, &layout, config, graph.num_edges())
+}
 
-    for superstep in 0..config.max_supersteps {
-        let mut step_span =
-            predict_obs::trace::span("cluster.step").arg("superstep", superstep as u64);
-        let step_start = Instant::now();
-        let mut wire_bytes = vec![0u64; num_workers];
+/// An initialized worker group as the BSP master's [`WorkerSet`]: each
+/// superstep is one `Step`/`StepDone` round trip per worker, final values
+/// come back as `Values` frames.
+struct RemoteGroup<'g, P: VertexProgram> {
+    group: &'g mut WorkerGroup,
+    layout: &'g ShardLayout,
+    timeout: Duration,
+    transport: &'static str,
+    started: Instant,
+    /// Undelivered batches per destination worker. Filled from `StepDone`
+    /// replies in ascending source order, drained into the next `Step`.
+    pending: Vec<Vec<WireBatch<P::Message>>>,
+    /// This superstep's `StepDone` replies (batches routed out), ascending
+    /// worker order.
+    done: Vec<StepDoneBody<P::Message>>,
+    /// This superstep's step plus step-done frame bytes, per worker.
+    wire_bytes: Vec<u64>,
+    wire_bytes_counter: Arc<Counter>,
+}
+
+impl<P> WorkerSet for RemoteGroup<'_, P>
+where
+    P: VertexProgram,
+    P::Message: Wire,
+    P::VertexValue: Wire,
+{
+    type Value = P::VertexValue;
+    type Error = ClusterError;
+
+    fn transport(&self) -> Option<(&'static str, Instant)> {
+        Some((self.transport, self.started))
+    }
+
+    fn superstep(
+        &mut self,
+        superstep: usize,
+        previous_aggregates: &Aggregates,
+    ) -> Result<impl Iterator<Item = WorkerReport<'_>>, ClusterError> {
+        let num_workers = self.group.connections.len();
+        self.wire_bytes.clear();
 
         // Fan the step out to every worker before reading any reply, so
         // workers compute concurrently.
-        for w in 0..num_workers {
+        for (w, pending) in self.pending.iter_mut().enumerate() {
             let step = StepBody {
                 superstep: superstep as u64,
                 previous_aggregates: previous_aggregates.clone(),
-                batches: std::mem::take(&mut pending[w]),
+                batches: std::mem::take(pending),
             };
             let body = encode_to_vec(&step);
-            wire_bytes[w] += body.len() as u64;
-            group.connections[w]
+            self.wire_bytes.push(body.len() as u64);
+            self.group.connections[w]
                 .send(tag::STEP, &body)
                 .map_err(|e| e.at_superstep(superstep))?;
         }
 
-        // Barrier: collect StepDone in ascending worker order and merge in
-        // that order, as the in-memory master does.
-        let mut worker_counters = Vec::with_capacity(num_workers);
-        let mut worker_compute_ns = Vec::with_capacity(num_workers);
-        let mut aggregates = Aggregates::new();
-        let mut messages_sent = 0u64;
-        let mut all_halted = true;
-        for (w, wire) in wire_bytes.iter_mut().enumerate() {
-            let body = expect_frame(&mut group.connections[w], tag::STEP_DONE, opts.timeout)
+        // Barrier: collect StepDone in ascending worker order.
+        self.done.clear();
+        for w in 0..num_workers {
+            let body = expect_frame(&mut self.group.connections[w], tag::STEP_DONE, self.timeout)
                 .map_err(|e| e.at_superstep(superstep))?;
-            *wire += body.len() as u64;
-            let done: StepDoneBody<P::Message> =
+            self.wire_bytes[w] += body.len() as u64;
+            let mut done: StepDoneBody<P::Message> =
                 decode_exact(&body).map_err(|e| ClusterError::from_wire(w, e))?;
             if done.superstep != superstep as u64 {
                 return Err(ClusterError::Protocol {
@@ -275,15 +303,10 @@ where
                     ),
                 });
             }
-            worker_counters.push(done.counters);
-            worker_compute_ns.push(done.compute_ns);
-            aggregates.merge(&done.partial_aggregates);
-            messages_sent += done.counters.total_messages();
-            all_halted &= done.all_halted;
             // Route the worker's outbound batches; sources arrive ascending
             // and each source's batches are ascending by destination, so
             // every pending list stays sorted by source worker.
-            for batch in done.batches {
+            for batch in std::mem::take(&mut done.batches) {
                 let dst = batch.dst as usize;
                 if dst >= num_workers || dst == w {
                     return Err(ClusterError::Protocol {
@@ -291,99 +314,47 @@ where
                         detail: format!("batch addressed to invalid worker {dst}"),
                     });
                 }
-                pending[dst].push(batch);
+                self.pending[dst].push(batch);
             }
+            self.done.push(done);
         }
+        self.wire_bytes_counter.add(self.wire_bytes.iter().sum());
 
-        let (wall_time_ms, worker_times_ms) = clock.superstep_time_ms(&worker_counters);
-        supersteps.push(SuperstepProfile {
-            superstep,
-            workers: worker_counters,
-            worker_times_ms,
-            wall_time_ms,
-            aggregates: aggregates.clone(),
-        });
-        // Join the driver-side round-trip with the per-worker compute times
-        // the STEP_DONE frames carried back.
-        step_span.set_arg("worker_compute_ns", format!("{worker_compute_ns:?}"));
-        let wall_ns = step_start.elapsed().as_nanos() as u64;
-        step_ns.record(wall_ns);
-        wire_bytes_counter.add(wire_bytes.iter().sum());
-        predict_obs::registry().counter("cluster.steps").incr();
-        measured.push(MeasuredSuperstep {
-            wall_ns,
-            worker_compute_ns,
-            wire_bytes,
-        });
-
-        // Halt checks in the executor's priority order. The batches still
-        // pending after a halt are never delivered; the in-memory executor
-        // delivers them into inboxes no compute phase will ever read, so
-        // values and profile are unaffected.
-        if program.master_halt(superstep, &aggregates) {
-            halt_reason = HaltReason::MasterConverged;
-            break;
-        }
-        if messages_sent == 0 && all_halted {
-            halt_reason = HaltReason::AllVerticesHalted;
-            break;
-        }
-        previous_aggregates = aggregates;
+        Ok(self
+            .done
+            .iter()
+            .zip(&self.wire_bytes)
+            .map(|(done, &wire_bytes)| WorkerReport {
+                counters: done.counters,
+                partial_aggregates: &done.partial_aggregates,
+                all_halted: done.all_halted,
+                compute_ns: done.compute_ns,
+                wire_bytes,
+            }))
     }
 
-    let write_ms = clock.write_time_ms(n, num_workers);
-
-    // Collect final values: one slot-ordered vector per worker, scattered
-    // back to vertex order through one cursor per shard.
-    for conn in &mut group.connections {
-        conn.send(tag::FINISH, &[])?;
-    }
-    let mut cursors = Vec::with_capacity(num_workers);
-    for w in 0..num_workers {
-        let body = expect_frame(&mut group.connections[w], tag::VALUES, opts.timeout)?;
-        let values: Vec<P::VertexValue> =
-            decode_exact(&body).map_err(|e| ClusterError::from_wire(w, e))?;
-        if values.len() != layout.shard_vertices(w).len() {
-            return Err(ClusterError::Protocol {
-                worker: w,
-                detail: format!(
-                    "expected {} values, got {}",
-                    layout.shard_vertices(w).len(),
-                    values.len()
-                ),
-            });
+    /// Collects final values: one slot-ordered vector per worker, checked
+    /// against the shard size the layout assigns it.
+    fn finish(self) -> Result<Vec<Vec<P::VertexValue>>, ClusterError> {
+        for conn in &mut self.group.connections {
+            conn.send(tag::FINISH, &[])?;
         }
-        cursors.push(values.into_iter());
+        let mut shards = Vec::with_capacity(self.group.connections.len());
+        for (w, conn) in self.group.connections.iter_mut().enumerate() {
+            let body = expect_frame(conn, tag::VALUES, self.timeout)?;
+            let values: Vec<P::VertexValue> =
+                decode_exact(&body).map_err(|e| ClusterError::from_wire(w, e))?;
+            let expected = self.layout.shard_vertices(w).len();
+            if values.len() != expected {
+                return Err(ClusterError::Protocol {
+                    worker: w,
+                    detail: format!("expected {expected} values, got {}", values.len()),
+                });
+            }
+            shards.push(values);
+        }
+        Ok(shards)
     }
-    let mut values: Vec<P::VertexValue> = Vec::with_capacity(n);
-    for v in 0..n {
-        values.push(
-            cursors[layout.owner_of(v as VertexId)]
-                .next()
-                .expect("value counts verified per shard"),
-        );
-    }
-
-    let profile = RunProfile {
-        algorithm: program.name().to_string(),
-        num_vertices: n,
-        num_edges: graph.num_edges(),
-        num_workers,
-        setup_ms,
-        read_ms,
-        write_ms,
-        supersteps,
-        measured: Some(MeasuredRun {
-            transport: opts.kind.name().to_string(),
-            supersteps: measured,
-            total_wall_ns: run_start.elapsed().as_nanos() as u64,
-        }),
-    };
-    Ok(BspRunResult {
-        values,
-        profile,
-        halt_reason,
-    })
 }
 
 /// Builds the shard this driver would send to `worker` — exposed for tests

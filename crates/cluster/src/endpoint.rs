@@ -2,9 +2,9 @@
 //!
 //! [`Endpoint`] is everything the serve loop ([`crate::worker`]) knows about
 //! the outside world — send a frame, receive a frame. A standalone worker
-//! process serves a [`StdioEndpoint`] (frames over stdin/stdout, which is
-//! why the worker never prints to stdout); an in-process worker thread
-//! serves a [`ChannelEndpoint`] (frames over a pair of mpsc channels). The
+//! process serves a [`StdioEndpoint`] (frames over its socket stream); an
+//! in-process worker thread serves a [`ChannelEndpoint`] (frames over a pair
+//! of mpsc channels). The
 //! serve loop is byte-for-byte the same code either way, which is the point:
 //! the process boundary is a property of the transport, not of the worker.
 
@@ -26,8 +26,8 @@ pub trait Endpoint {
     fn recv(&mut self) -> io::Result<Option<Frame>>;
 }
 
-/// Frames over a `Read`/`Write` pair — stdin/stdout for the
-/// `cluster_worker` binary, or any in-memory pair in tests.
+/// Frames over a `Read`/`Write` byte-stream pair — the two halves of the
+/// `cluster_worker` binary's socket stream, or any in-memory pair in tests.
 pub struct StdioEndpoint<R: Read, W: Write> {
     reader: BufReader<R>,
     writer: BufWriter<W>,
@@ -55,7 +55,7 @@ impl<R: Read, W: Write> Endpoint for StdioEndpoint<R, W> {
 
 /// Frames over an mpsc channel pair — the in-process transport. A dropped
 /// peer reads as a clean close on `recv` and a broken pipe on `send`,
-/// mirroring how a dead process behaves on a real pipe.
+/// mirroring how a dead process behaves on a real socket.
 pub struct ChannelEndpoint {
     /// Frames from the driver.
     pub rx: Receiver<Frame>,

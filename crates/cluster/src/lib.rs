@@ -19,20 +19,20 @@
 //!   Pure bytes; no transport anywhere in sight.
 //! * [`protocol`] + [`transport`] + [`endpoint`] + [`socket`] — framed
 //!   star-topology superstep protocol (`Init`/`Step`/`StepDone`/`Finish`),
-//!   spoken over three interchangeable backends: in-process worker threads
-//!   over channels ([`TransportKind::InProc`]), long-lived `cluster_worker`
-//!   OS processes over stdin/stdout pipes ([`TransportKind::Process`]), and
-//!   the same processes over Unix-domain socket streams
+//!   spoken over two interchangeable backends: in-process worker threads
+//!   over channels ([`TransportKind::InProc`]) and long-lived
+//!   `cluster_worker` OS processes over Unix-domain socket streams
 //!   ([`TransportKind::Socket`]; loopback TCP rides the identical code
 //!   path). Barrier, halt voting and aggregate exchange ride the same
 //!   frames.
-//! * [`driver`] + [`runner`] — the BSP master over a worker group, mirroring
-//!   the in-memory executor's merge and clock order so results are
-//!   *byte-identical* to in-memory runs (the engine's determinism contract,
-//!   point 8), while recording a [`MeasuredRun`](predict_bsp::MeasuredRun)
-//!   into the profile. [`run_workload`] is the drop-in workload entry point
-//!   the prediction pipeline uses; `PREDICT_TRANSPORT=inproc|process`
-//!   switches executors without touching results.
+//! * [`driver`] + [`runner`] — worker-group setup around the engine's one
+//!   BSP master (`predict_bsp::runtime::run_master`): the group is a
+//!   `WorkerSet` like the in-memory shards, so results are *byte-identical*
+//!   to in-memory runs (the engine's determinism contract, point 8), and
+//!   the master records a [`MeasuredRun`](predict_bsp::MeasuredRun) into
+//!   the profile. [`run_workload`] is the drop-in workload entry point the
+//!   prediction pipeline uses; `PREDICT_TRANSPORT=inproc|socket` switches
+//!   executors without touching results.
 //!
 //! Failure is structured, not silent: a worker that dies or hangs
 //! mid-superstep surfaces as a [`ClusterError`] naming the worker, the

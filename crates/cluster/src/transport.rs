@@ -1,5 +1,5 @@
-//! Driver-side transports: in-process worker threads, worker OS processes
-//! over pipes, and worker OS processes over sockets.
+//! Driver-side transports: in-process worker threads, and worker OS
+//! processes over sockets.
 //!
 //! A [`Connection`] is the driver's handle to one worker. Every backend
 //! exposes the same three operations — send a frame, receive a frame with a
@@ -10,23 +10,20 @@
 //!   the worker binary runs, connected by mpsc channel pairs. A panicking or
 //!   crashing worker drops its sender, which the driver observes as a
 //!   disconnect — the thread-level analogue of a dead process.
-//! * [`TransportKind::Process`] spawns a long-lived `cluster_worker` OS
-//!   process and speaks the framed protocol over its stdin/stdout. A reader
-//!   thread pumps stdout frames into a channel (so receives can time out
-//!   without platform-specific pipe tricks) and a second thread tails stderr
-//!   into a bounded ring buffer that failure reports quote.
-//! * [`TransportKind::Socket`] spawns the same binary pointed at a
-//!   per-worker Unix-domain socket (`cluster_worker --socket <path>`); the
-//!   driver binds and accepts with a deadline, then the identical
-//!   pump/ring/frame machinery runs over the socket stream. A loopback TCP
-//!   variant ([`Connection::spawn_socket_tcp`]) rides the same code path
-//!   through [`SocketStream`].
+//! * [`TransportKind::Socket`] spawns a long-lived `cluster_worker` OS
+//!   process pointed at a per-worker Unix-domain socket
+//!   (`cluster_worker --socket <path>`); the driver binds and accepts with a
+//!   deadline. A reader thread pumps socket frames into a channel (so
+//!   receives can time out without platform-specific tricks) and a second
+//!   thread tails the worker's stderr into a bounded ring buffer that
+//!   failure reports quote. A loopback TCP variant
+//!   ([`Connection::spawn_socket_tcp`]) rides the same code path through
+//!   [`SocketStream`].
 //!
 //! Workers survive across runs — after serving one episode they loop back to
 //! waiting for the next `Init` — so [`WorkerGroup`]s are pooled globally,
-//! keyed by `(kind, num_workers)`, and process/socket spawn cost is paid
-//! once, not per prediction run. A group that errors is dropped, never
-//! re-pooled.
+//! keyed by `(kind, num_workers)`, and process spawn cost is paid once, not
+//! per prediction run. A group that errors is dropped, never re-pooled.
 
 use crate::endpoint::{ChannelEndpoint, Frame};
 use crate::error::ClusterError;
@@ -37,7 +34,7 @@ use predict_bsp::TransportChoice;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStderr, ChildStdin, Command, Stdio};
+use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -57,8 +54,6 @@ const STDERR_EOF_WAIT: Duration = Duration::from_secs(1);
 pub enum TransportKind {
     /// Worker threads in this process, talking over channels.
     InProc,
-    /// Worker OS processes, talking over stdin/stdout pipes.
-    Process,
     /// Worker OS processes, talking over Unix-domain socket streams.
     Socket,
 }
@@ -70,7 +65,6 @@ impl TransportKind {
         match choice {
             TransportChoice::InMemory => None,
             TransportChoice::InProc => Some(Self::InProc),
-            TransportChoice::Process => Some(Self::Process),
             TransportChoice::Socket => Some(Self::Socket),
         }
     }
@@ -79,7 +73,6 @@ impl TransportKind {
     pub fn name(self) -> &'static str {
         match self {
             Self::InProc => "inproc",
-            Self::Process => "process",
             Self::Socket => "socket",
         }
     }
@@ -174,14 +167,6 @@ enum ConnInner {
         tx: Sender<Frame>,
         rx: Receiver<Frame>,
     },
-    Process {
-        child: Child,
-        stdin: BufWriter<ChildStdin>,
-        /// Frames pumped off the child's stdout; the pump thread closes the
-        /// channel on EOF or read error.
-        rx: Receiver<Frame>,
-        stderr: Arc<StderrLog>,
-    },
     Socket {
         /// The worker process, when this connection spawned one (`None` for
         /// connections built from a raw accepted stream in tests).
@@ -241,49 +226,6 @@ impl Connection {
                 rx: from_worker,
             },
         }
-    }
-
-    /// Spawns a `cluster_worker` process and wires up its pipes.
-    pub fn spawn_process(worker: usize) -> Result<Self, ClusterError> {
-        let bin = worker_bin_path().map_err(|detail| ClusterError::Spawn { worker, detail })?;
-        let mut child = Command::new(&bin)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| ClusterError::Spawn {
-                worker,
-                detail: format!("{}: {e}", bin.display()),
-            })?;
-        let stdin = BufWriter::new(child.stdin.take().expect("piped stdin"));
-        let stdout = child.stdout.take().expect("piped stdout");
-        let child_stderr = child.stderr.take().expect("piped stderr");
-
-        let (frame_tx, rx) = mpsc::channel::<Frame>();
-        std::thread::Builder::new()
-            .name(format!("cluster-stdout-{worker}"))
-            .spawn(move || {
-                let mut reader = BufReader::new(stdout);
-                while let Ok(Some(frame)) = read_frame(&mut reader) {
-                    if frame_tx.send(frame).is_err() {
-                        break; // driver dropped the connection
-                    }
-                }
-                // EOF or read error: dropping frame_tx signals disconnect.
-            })
-            .expect("spawning an OS thread");
-
-        let stderr = StderrLog::pump(worker, child_stderr);
-
-        Ok(Self {
-            worker,
-            inner: ConnInner::Process {
-                child,
-                stdin,
-                rx,
-                stderr,
-            },
-        })
     }
 
     /// Spawns a `cluster_worker` process connected over a fresh Unix-domain
@@ -426,7 +368,7 @@ impl Connection {
     fn stderr_log(&self) -> Option<&StderrLog> {
         match &self.inner {
             ConnInner::InProc { .. } => None,
-            ConnInner::Process { stderr, .. } | ConnInner::Socket { stderr, .. } => Some(stderr),
+            ConnInner::Socket { stderr, .. } => Some(stderr),
         }
     }
 
@@ -441,13 +383,11 @@ impl Connection {
         }
     }
 
-    /// OS process id of the worker, when one exists (process and socket
-    /// backends). Lets tests verify spawn-failure cleanup actually reaped
-    /// the children.
+    /// OS process id of the worker, when one exists (socket backend). Lets
+    /// tests verify spawn-failure cleanup actually reaped the children.
     pub fn process_id(&self) -> Option<u32> {
         match &self.inner {
             ConnInner::InProc { .. } => None,
-            ConnInner::Process { child, .. } => Some(child.id()),
             ConnInner::Socket { child, .. } => child.as_ref().map(Child::id),
         }
     }
@@ -457,7 +397,6 @@ impl Connection {
     pub fn send(&mut self, tag: u8, body: &[u8]) -> Result<(), ClusterError> {
         let sent = match &mut self.inner {
             ConnInner::InProc { tx, .. } => tx.send((tag, body.to_vec())).is_ok(),
-            ConnInner::Process { stdin, .. } => write_frame(stdin, tag, body).is_ok(),
             ConnInner::Socket { writer, .. } => write_frame(writer, tag, body).is_ok(),
         };
         if sent {
@@ -476,7 +415,6 @@ impl Connection {
     pub fn recv(&mut self, timeout: Duration) -> Result<Frame, ClusterError> {
         let received = match &self.inner {
             ConnInner::InProc { rx, .. } => rx.recv_timeout(timeout),
-            ConnInner::Process { rx, .. } => rx.recv_timeout(timeout),
             ConnInner::Socket { rx, .. } => rx.recv_timeout(timeout),
         };
         match received {
@@ -486,7 +424,6 @@ impl Connection {
                 // A process that died instants ago may still race the pump
                 // thread; report a death as a death, not a timeout.
                 let child = match &mut self.inner {
-                    ConnInner::Process { child, .. } => Some(child),
                     ConnInner::Socket { child, .. } => child.as_mut(),
                     ConnInner::InProc { .. } => None,
                 };
@@ -513,14 +450,6 @@ impl Drop for Connection {
                 // Ask the thread to exit; if it already died this is a no-op.
                 let _ = tx.send((tag::SHUTDOWN, Vec::new()));
             }
-            ConnInner::Process { child, stdin, .. } => {
-                let _ = write_frame(stdin, tag::SHUTDOWN, &[]);
-                let _ = stdin.flush();
-                // Give the process no reason to linger: kill unconditionally
-                // (a worker that honored Shutdown is already gone) and reap.
-                let _ = child.kill();
-                let _ = child.wait();
-            }
             ConnInner::Socket {
                 child,
                 writer,
@@ -530,7 +459,9 @@ impl Drop for Connection {
             } => {
                 let _ = write_frame(writer, tag::SHUTDOWN, &[]);
                 let _ = writer.flush();
-                // Unblock the pump thread's read, then reap and unlink.
+                // Unblock the pump thread's read, then reap and unlink. Give
+                // the process no reason to linger: kill unconditionally (a
+                // worker that honored Shutdown is already gone).
                 let _ = stream.shutdown();
                 if let Some(child) = child {
                     let _ = child.kill();
@@ -594,7 +525,6 @@ impl WorkerGroup {
     pub fn spawn(kind: TransportKind, num_workers: usize) -> Result<Self, ClusterError> {
         Self::spawn_with(kind, num_workers, |w| match kind {
             TransportKind::InProc => Ok(Connection::spawn_inproc(w)),
-            TransportKind::Process => Connection::spawn_process(w),
             TransportKind::Socket => Connection::spawn_socket(w),
         })
     }

@@ -225,7 +225,7 @@ where
                     superstep: step.superstep,
                     counters: state.counters,
                     partial_aggregates: state.partial_aggregates.clone(),
-                    all_halted: state.all_halted(),
+                    all_halted: state.all_halted,
                     compute_ns,
                     batches,
                 };

@@ -41,7 +41,7 @@
 //!   [`Predictor::builder`];
 //! * [`service`] — [`PredictService`], a `Sync` front-end holding sessions in
 //!   a sharded LRU cache and answering [`PredictRequest`]s, one at a time or
-//!   in deterministic scoped-thread batches;
+//!   in deterministic batches on the engine's worker pool;
 //! * [`pipeline`] — the legacy one-shot [`Predictor`] facade, a thin wrapper
 //!   over the same stage functions (kept for single-prediction callers);
 //! * [`error`] — the unified [`PredictError`] spanning sampling, engine and

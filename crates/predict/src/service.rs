@@ -11,13 +11,10 @@
 //! Batches run on the engine's persistent [`predict_bsp::WorkerPool`]:
 //! [`PredictService::submit_batch`] schedules independent requests as pool
 //! tasks and returns results in request order, so a warm service evaluates
-//! batch after batch without spawning a single OS thread (when the pool is
-//! disabled via [`predict_bsp::PoolMode::Off`] or `PREDICT_POOL=off`, it
-//! falls back to scoped threads per batch). Because every pipeline stage is
-//! deterministic and cache values are immutable artifacts, the output is
-//! identical regardless of thread count, scheduling substrate or
-//! interleaving — a 1-thread batch and an N-thread batch produce the same
-//! bytes.
+//! batch after batch without spawning a single OS thread. Because every
+//! pipeline stage is deterministic and cache values are immutable artifacts,
+//! the output is identical regardless of thread count or interleaving — a
+//! 1-thread batch and an N-thread batch produce the same bytes.
 //!
 //! Robustness: a panic inside one request is caught at the request boundary
 //! and surfaced as [`PredictError::WorkerPanicked`] for that request alone —
@@ -94,8 +91,8 @@ pub struct PredictServiceConfig {
     /// replaces the execution mode of the engine the service was given
     /// (sharing its run counter and layout cache), so every session's sample
     /// and actual runs execute under `mode`. With it, `submit_batch`
-    /// parallelizes at both levels — requests across scoped threads *and*
-    /// each run's superstep phases across the engine's threads. `None` keeps
+    /// parallelizes at both levels — requests across pool threads *and*
+    /// each run's superstep phases across the same pool. `None` keeps
     /// the engine as passed. Never changes results (see
     /// `predict_bsp::runtime`).
     pub execution: Option<ExecutionMode>,
@@ -400,17 +397,14 @@ impl PredictService {
     /// Requests are scheduled onto the engine's persistent
     /// [`predict_bsp::WorkerPool`], so a warm service spawns **zero** OS
     /// threads per batch and successive batches pipeline through the same
-    /// workers as each run's superstep phases. When the pool is disabled
-    /// ([`predict_bsp::PoolMode::Off`] or `PREDICT_POOL=off`) the batch
-    /// falls back to scoped threads, one stride per thread.
+    /// workers as each run's superstep phases.
     ///
     /// A panicking request yields `Err(`[`PredictError::WorkerPanicked`]`)`
     /// in its slot; the other requests still complete.
     ///
     /// The output is deterministic: result `i` depends only on request `i`
     /// (every stage is deterministic and cached artifacts are immutable), so
-    /// thread count, scheduling substrate and interleaving change wall-clock
-    /// time, never results.
+    /// thread count and interleaving change wall-clock time, never results.
     ///
     /// # Examples
     ///
@@ -462,53 +456,21 @@ impl PredictService {
         }
         let mut results: Vec<Option<Result<Prediction, PredictError>>> =
             (0..requests.len()).map(|_| None).collect();
-        if let Some(pool) = self.engine.worker_pool() {
-            // One pool task per request: the pool's work-stealing deques
-            // balance uneven request costs, and `run_scoped`'s own-scope
-            // caller participation keeps this deadlock-free even when a
-            // request's superstep phases fan out onto the same pool while
-            // it holds a session's single-flight slot.
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                .iter_mut()
-                .zip(requests)
-                .map(|(slot, request)| {
-                    let task: Box<dyn FnOnce() + Send + '_> =
-                        Box::new(move || *slot = Some(self.submit_caught(request)));
-                    task
-                })
-                .collect();
-            pool.run_scoped(threads, tasks);
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    predict_bsp::record_external_spawn();
-                    handles.push(scope.spawn(move || {
-                        // Stride partitioning: thread t takes requests t, t+T, ...
-                        requests
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(threads)
-                            .map(|(i, r)| (i, self.submit_caught(r)))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for handle in handles {
-                    let worker_results = match handle.join() {
-                        Ok(worker_results) => worker_results,
-                        // submit_caught contains request panics, so an
-                        // unwound worker can only be a harness-level bug;
-                        // still, degrade to per-request errors rather than
-                        // killing the whole batch.
-                        Err(_) => continue,
-                    };
-                    for (i, result) in worker_results {
-                        results[i] = Some(result);
-                    }
-                }
-            });
-        }
+        // One pool task per request: the pool's work-stealing deques balance
+        // uneven request costs, and `run_scoped`'s own-scope caller
+        // participation keeps this deadlock-free even when a request's
+        // superstep phases fan out onto the same pool while it holds a
+        // session's single-flight slot.
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
+            .iter_mut()
+            .zip(requests)
+            .map(|(slot, request)| {
+                let task: Box<dyn FnOnce() + Send + '_> =
+                    Box::new(move || *slot = Some(self.submit_caught(request)));
+                task
+            })
+            .collect();
+        self.engine.worker_pool().run_scoped(threads, tasks);
         results
             .into_iter()
             .map(|r| {
@@ -792,14 +754,13 @@ mod tests {
     }
 
     #[test]
-    fn pooled_batches_match_scoped_thread_batches() {
-        use predict_bsp::PoolMode;
+    fn pooled_batches_match_sequential_batches() {
         let g = graph(23);
         let n = g.num_vertices();
         let mut rendered = Vec::new();
-        for pool in [PoolMode::On, PoolMode::Off] {
+        for threads in [3, 1] {
             let svc = PredictService::with_config(
-                BspEngine::new(BspConfig::with_workers(4).with_pool(pool)),
+                BspEngine::new(BspConfig::with_workers(4)),
                 Arc::new(BiasedRandomJump::default()),
                 PredictServiceConfig {
                     predictor: PredictorConfig::single_ratio(0.1),
@@ -816,7 +777,7 @@ mod tests {
                 PredictRequest::new("A", Arc::clone(&g), Arc::new(ConnectedComponentsWorkload)),
             ];
             let results: Vec<String> = svc
-                .submit_batch(&requests, 3)
+                .submit_batch(&requests, threads)
                 .into_iter()
                 .map(|r| match r {
                     Ok(p) => serde_json::to_string(&p).unwrap(),
@@ -825,7 +786,7 @@ mod tests {
                 .collect();
             rendered.push(results);
         }
-        assert_eq!(rendered[0], rendered[1], "PoolMode changed batch results");
+        assert_eq!(rendered[0], rendered[1], "the pool changed batch results");
     }
 
     #[test]

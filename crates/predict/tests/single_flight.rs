@@ -8,7 +8,7 @@
 use predict_algorithms::{
     ConnectedComponentsWorkload, ConvergenceKind, PageRankWorkload, Workload, WorkloadRun,
 };
-use predict_bsp::{BspConfig, BspEngine, ExecutionMode, PoolMode};
+use predict_bsp::{BspConfig, BspEngine, ExecutionMode};
 use predict_core::{
     PredictError, PredictRequest, PredictService, PredictServiceConfig, PredictorConfig,
     SessionStats,
@@ -48,14 +48,13 @@ fn within_bound<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 's
 }
 
 /// An engine whose every run fans its superstep phases out onto the
-/// persistent pool, whatever `PREDICT_THREADS` and `PREDICT_POOL` say: the
+/// persistent pool, whatever `PREDICT_THREADS` says: the
 /// nested-scope shape in which a slot holder waits on its own superstep
 /// scope while other request tasks wait on its slot.
 fn pooled_service() -> PredictService {
     let engine = BspEngine::new(BspConfig {
         num_workers: 4,
         execution: ExecutionMode::Parallel { threads: 4 },
-        pool: PoolMode::On,
         ..BspConfig::default()
     });
     PredictService::new(engine, Arc::new(BiasedRandomJump::default()))
@@ -239,11 +238,7 @@ fn a_panicking_fill_fails_its_own_request_and_the_waiter_computes() {
         let request = PredictRequest::new("rmat", Arc::clone(&graph), workload)
             .with_config(PredictorConfig::single_ratio(0.1));
         let service = PredictService::with_config(
-            BspEngine::new(BspConfig {
-                num_workers: 4,
-                pool: PoolMode::On,
-                ..BspConfig::default()
-            }),
+            BspEngine::new(BspConfig::with_workers(4)),
             Arc::new(BiasedRandomJump::default()),
             PredictServiceConfig::default(),
         );

@@ -80,7 +80,7 @@ pub mod prelude {
         SemiClusteringWorkload, TopKWorkload, Workload, WorkloadRun,
     };
     pub use predict_bsp::{
-        BspConfig, BspEngine, ClusterCostConfig, ExecutionMode, GraphStorage, PoolMode, RunProfile,
+        BspConfig, BspEngine, ClusterCostConfig, ExecutionMode, GraphStorage, RunProfile,
         StorageMode, TransportMode, WorkerPool,
     };
     pub use predict_core::{

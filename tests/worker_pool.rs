@@ -30,17 +30,13 @@ fn requests(g: &Arc<CsrGraph>) -> Vec<PredictRequest> {
 /// The tentpole's hard acceptance bar: once the pool is warm, an N-request
 /// `submit_batch` spawns **zero** new OS threads — batches pipeline through
 /// the same long-lived workers that also run each request's superstep
-/// phases. Counted on the engine's own pool (not the process-global
-/// counter), so concurrently running tests cannot interfere.
+/// phases. Counted on the engine's own pool, so concurrently running tests
+/// cannot interfere.
 #[test]
 fn a_warm_service_answers_batches_without_spawning_threads() {
     let g = graph();
-    // PoolMode::On (not Auto) so a stray PREDICT_POOL=off in the
-    // environment cannot silently turn this into a no-op test.
     let engine = BspEngine::new(
-        BspConfig::with_workers(4)
-            .with_execution(ExecutionMode::Parallel { threads: 4 })
-            .with_pool(PoolMode::On),
+        BspConfig::with_workers(4).with_execution(ExecutionMode::Parallel { threads: 4 }),
     );
     let service = PredictService::new(engine.clone(), Arc::new(BiasedRandomJump::default()));
     let requests = requests(&g);
@@ -66,30 +62,37 @@ fn a_warm_service_answers_batches_without_spawning_threads() {
     }
 }
 
-/// Scheduling substrate must never leak into results: the same batch through
-/// the pool and through scoped fallback threads, at several widths, is
-/// byte-identical.
+/// Scheduling must never leak into results: the same batch with superstep
+/// phases and requests fanned out over the pool, at batch widths 1 and 4,
+/// is byte-identical to the 1-thread run, which never touches the pool.
 #[test]
 fn pool_scheduling_never_changes_prediction_bytes() {
     let g = graph();
     let requests = requests(&g);
-    let run = |pool: PoolMode, threads: usize| -> Vec<String> {
-        let service = PredictService::new(
-            BspEngine::new(BspConfig::with_workers(4).with_pool(pool)),
-            Arc::new(BiasedRandomJump::default()),
-        );
-        service
+    let run = |execution: ExecutionMode, threads: usize| -> Vec<String> {
+        let engine = BspEngine::new(BspConfig::with_workers(4).with_execution(execution));
+        let service = PredictService::new(engine.clone(), Arc::new(BiasedRandomJump::default()));
+        let results = service
             .submit_batch(&requests, threads)
             .into_iter()
             .map(|r| serde_json::to_string(&r.expect("prediction succeeds")).unwrap())
-            .collect()
+            .collect();
+        if execution == ExecutionMode::Sequential && threads == 1 {
+            assert_eq!(
+                engine.pool_threads_spawned(),
+                0,
+                "the reference used the pool"
+            );
+        }
+        results
     };
-    let reference = run(PoolMode::Off, 1);
-    for (pool, threads) in [(PoolMode::On, 1), (PoolMode::On, 4), (PoolMode::Off, 4)] {
+    let reference = run(ExecutionMode::Sequential, 1);
+    let pooled = ExecutionMode::Parallel { threads: 4 };
+    for threads in [1, 4] {
         assert_eq!(
             reference,
-            run(pool, threads),
-            "{pool:?} at {threads} threads changed prediction bytes"
+            run(pooled, threads),
+            "pooled phases at batch width {threads} changed prediction bytes"
         );
     }
 }
@@ -101,11 +104,7 @@ fn pool_scheduling_never_changes_prediction_bytes() {
 #[test]
 fn warm_batches_reuse_scratch_buffers_and_storage() {
     let g = graph();
-    let engine = BspEngine::new(
-        BspConfig::with_workers(4)
-            .with_pool(PoolMode::On)
-            .with_storage(StorageMode::Sharded),
-    );
+    let engine = BspEngine::new(BspConfig::with_workers(4).with_storage(StorageMode::Sharded));
     let service = PredictService::new(engine, Arc::new(BiasedRandomJump::default()));
     let requests = requests(&g);
     assert!(service.submit_batch(&requests, 4).iter().all(Result::is_ok));
